@@ -1,7 +1,7 @@
 // Cooperative cancellation: one sticky QueryContext unifies deadline,
 // caller cancel and budget kill. Covers the token/context state machine,
-// the StopStatus mapping, pre-cancelled execution on the serial, parallel
-// and sharded paths, mid-flight cancellation from another thread (with a
+// the StopStatus mapping, pre-cancelled execution on the serial and
+// parallel paths, mid-flight cancellation from another thread (with a
 // leaf-granularity latency bound measured through the exec.triples_scanned
 // counter when the metrics layer is compiled in), and cancellation through
 // the GovernedEngine's admission gate.
@@ -18,7 +18,6 @@
 #include "engine/database.h"
 #include "engine/governed_engine.h"
 #include "exec/batch.h"
-#include "engine/sharded_database.h"
 #include "sparql/parser.h"
 #include "test_util.h"
 #include "util/metrics.h"
@@ -134,22 +133,6 @@ TEST_F(CancelExecutionTest, PreCancelledAtEveryParallelism) {
     EXPECT_EQ(r.status().code(), StatusCode::kCancelled)
         << "parallelism=" << par << ": " << r.status().ToString();
   }
-}
-
-TEST_F(CancelExecutionTest, PreCancelledShardedScatter) {
-  auto q = ParseSparql(LubmModifiedWorkload().Get("Q11").sparql);
-  ASSERT_TRUE(q.ok());
-  ShardedOptions opt;
-  opt.num_shards = 4;
-  opt.engine.parallelism = 4;
-  auto db = ShardedDatabase::Build(*data_, opt);
-  ASSERT_TRUE(db.ok());
-  CancellationToken token;
-  token.Cancel();
-  QueryContext ctx(0, 0, &token);
-  auto r = db.value().Execute(q.value(), &ctx);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
 
 TEST_F(CancelExecutionTest, MidFlightCancelStopsWithinBatchGranularity) {

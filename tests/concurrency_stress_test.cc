@@ -1,9 +1,9 @@
 // Satellite (b) of the parallel-execution PR: seeded concurrency stress.
 // Many client threads fire mixed queries at one shared Database (whose
-// Execute() calls share one thread pool), at a ShardedDatabase, and at an
-// UpdatableDatabase snapshot — all seeded through util/random.h so a
-// failure replays exactly. The suite runs under TSan in CI; its job is to
-// give the sanitizer real concurrent traffic over every parallel path.
+// Execute() calls share one thread pool) and at an UpdatableDatabase
+// snapshot — all seeded through util/random.h so a failure replays
+// exactly. The suite runs under TSan in CI; its job is to give the
+// sanitizer real concurrent traffic over every parallel path.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "engine/database.h"
-#include "engine/sharded_database.h"
 #include "engine/update_store.h"
 #include "sparql/parser.h"
 #include "test_util.h"
@@ -74,26 +73,6 @@ TEST(ConcurrencyStressTest, SharedDatabaseManyClients) {
 
   std::vector<SelectQuery> workload =
       ParsedWorkload(kStressSeed, kQueriesPerThread * 2);
-  std::vector<std::vector<std::vector<TermId>>> expect;
-  for (const SelectQuery& q : workload) {
-    auto r = db.value().Execute(q);
-    ASSERT_TRUE(r.ok());
-    expect.push_back(
-        r.value().table.CanonicalRows(q.EffectiveProjection()));
-  }
-  Hammer(db.value(), workload, expect);
-}
-
-TEST(ConcurrencyStressTest, SharedShardedDatabaseManyClients) {
-  Dataset data = testutil::RandomDataset(35, 7, 500, 0.3, kStressSeed + 1);
-  ShardedOptions opt;
-  opt.num_shards = 4;
-  opt.engine.parallelism = 4;
-  auto db = ShardedDatabase::Build(data, opt);
-  ASSERT_TRUE(db.ok());
-
-  std::vector<SelectQuery> workload =
-      ParsedWorkload(kStressSeed + 1, kQueriesPerThread * 2);
   std::vector<std::vector<std::vector<TermId>>> expect;
   for (const SelectQuery& q : workload) {
     auto r = db.value().Execute(q);

@@ -15,7 +15,6 @@
 #include "baselines/sixperm_engine.h"
 #include "baselines/vp_engine.h"
 #include "engine/database.h"
-#include "engine/sharded_database.h"
 #include "engine/update_store.h"
 #include "naive_eval.h"
 #include "sparql/lexer.h"
@@ -84,8 +83,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialQueryTest,
 // --------------------------------------------- every engine, under faults
 
 // Property-based equivalence across the whole engine zoo: the ECS engine
-// (parallel), all three baselines and the sharded engine must return the
-// same sorted result multiset for every generated query — and keep doing
+// (parallel) and all three baselines must return the same sorted result
+// multiset for every generated query — and keep doing
 // so while a `pool.task` delay failpoint perturbs worker scheduling (the
 // determinism contract says timing may never change answers).
 class AllEnginesDifferentialTest : public ::testing::TestWithParam<uint64_t> {
@@ -104,14 +103,9 @@ TEST_P(AllEnginesDifferentialTest, EnginesAgreeWithAndWithoutDelayFault) {
   par_opt.parallelism = 3;
   auto ecs = Database::Build(data, par_opt);
   ASSERT_TRUE(ecs.ok());
-  ShardedOptions shard_opt;
-  shard_opt.num_shards = 3;
-  shard_opt.engine.parallelism = 3;
-  auto sharded = ShardedDatabase::Build(data, shard_opt);
-  ASSERT_TRUE(sharded.ok());
 
-  const std::vector<const QueryEngine*> engines = {
-      &sixperm, &vp, &partial, &ecs.value(), &sharded.value()};
+  const std::vector<const QueryEngine*> engines = {&sixperm, &vp, &partial,
+                                                   &ecs.value()};
 
   testutil::QueryGen gen(seed ^ 0xA11E5ULL, 30, 6);
   std::vector<std::string> queries;
@@ -175,12 +169,8 @@ TEST_P(ExtendedDifferentialTest, EnginesMatchNaiveOnExtendedQueries) {
   par_opt.parallelism = 3;
   auto ecs = Database::Build(data, par_opt);
   ASSERT_TRUE(ecs.ok());
-  ShardedOptions shard_opt;
-  shard_opt.num_shards = 3;
-  auto sharded = ShardedDatabase::Build(data, shard_opt);
-  ASSERT_TRUE(sharded.ok());
-  const std::vector<const QueryEngine*> engines = {
-      &sixperm, &vp, &partial, &ecs.value(), &sharded.value()};
+  const std::vector<const QueryEngine*> engines = {&sixperm, &vp, &partial,
+                                                   &ecs.value()};
 
   testutil::QueryGen gen(seed ^ 0xE27E4DEDULL, 25, 5);
   for (int trial = 0; trial < 20; ++trial) {

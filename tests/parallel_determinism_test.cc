@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "engine/database.h"
-#include "engine/sharded_database.h"
 #include "sparql/parser.h"
 #include "test_util.h"
 
@@ -92,37 +91,6 @@ TEST_P(ParallelDeterminismTest, AllConfigsIdenticalAcrossParallelism) {
       ExpectIdentical(rs.value(), rp.value(), "parallelism=4: " + context);
       ExpectIdentical(rs.value(), rh.value(), "parallelism=0: " + context);
     }
-  }
-}
-
-TEST_P(ParallelDeterminismTest, ShardedScatterIdenticalAcrossParallelism) {
-  uint64_t seed = GetParam();
-  Dataset data = testutil::RandomDataset(35, 7, 450, 0.3, seed * 131 + 17);
-
-  ShardedOptions serial_opt;
-  serial_opt.num_shards = 4;
-  serial_opt.engine.parallelism = 1;
-  ShardedOptions par_opt = serial_opt;
-  par_opt.engine.parallelism = 4;
-
-  auto serial_db = ShardedDatabase::Build(data, serial_opt);
-  auto par_db = ShardedDatabase::Build(data, par_opt);
-  ASSERT_TRUE(serial_db.ok());
-  ASSERT_TRUE(par_db.ok());
-  EXPECT_EQ(serial_db.value().ShardTripleCounts(),
-            par_db.value().ShardTripleCounts());
-  EXPECT_EQ(serial_db.value().StorageBytes(), par_db.value().StorageBytes());
-
-  testutil::QueryGen gen(seed ^ 0x5eed, 35, 7);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::string sparql = gen.Next();
-    auto q = ParseSparql(sparql);
-    ASSERT_TRUE(q.ok()) << sparql;
-    auto rs = serial_db.value().Execute(q.value());
-    auto rp = par_db.value().Execute(q.value());
-    ASSERT_TRUE(rs.ok()) << sparql;
-    ASSERT_TRUE(rp.ok()) << sparql;
-    ExpectIdentical(rs.value(), rp.value(), "sharded: " + sparql);
   }
 }
 

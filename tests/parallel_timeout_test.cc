@@ -11,7 +11,6 @@
 #include "baselines/vp_engine.h"
 #include "datagen/lubm_generator.h"
 #include "engine/database.h"
-#include "engine/sharded_database.h"
 #include "sparql/parser.h"
 #include "test_util.h"
 #include "util/cancellation.h"
@@ -54,43 +53,24 @@ TEST_F(ParallelTimeoutTest, ImmediateDeadlineAtEveryParallelism) {
   }
 }
 
-TEST_F(ParallelTimeoutTest, ShardedImmediateDeadline) {
-  auto q = ParseSparql(LubmModifiedWorkload().Get("Q11").sparql);
-  ASSERT_TRUE(q.ok());
-  for (uint32_t par : {1u, 4u}) {
-    ShardedOptions opt;
-    opt.num_shards = 4;
-    opt.engine.timeout_millis = 1;
-    opt.engine.parallelism = par;
-    auto db = ShardedDatabase::Build(*data_, opt);
-    ASSERT_TRUE(db.ok()) << "parallelism=" << par;
-    auto r = db.value().Execute(q.value());
-    ASSERT_FALSE(r.ok()) << "parallelism=" << par;
-    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
-        << "parallelism=" << par << ": " << r.status().ToString();
-  }
-}
-
 TEST_F(ParallelTimeoutTest, SerialExistenceOnlyStarHonorsDeadline) {
   // Star-only query whose object variables are single-occurrence and
-  // unprojected: with skip_redundant_star_retrieval every star pattern is
-  // skippable, so the executor takes the existence-only path that emits
-  // distinct subjects per candidate CS. At parallelism=1 that loop runs
-  // in the serial pipeline and must test the shared deadline between
-  // per-CS scans rather than scanning every candidate to completion.
+  // unprojected (pure existence checks). At parallelism=1 its star
+  // retrieval runs in the serial pipeline and must test the shared
+  // deadline inside the per-CS merge scans rather than scanning every
+  // candidate partition to completion.
   auto q = ParseSparql(
       "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
       "SELECT ?x WHERE { ?x ub:takesCourse ?c . ?x ub:memberOf ?d }");
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  // A student-heavy dataset so the distinct-subject emission cannot finish
-  // inside the 1 ms budget.
+  // A student-heavy dataset so the star retrieval cannot finish inside the
+  // 1 ms budget.
   LubmConfig cfg;
   cfg.num_universities = 4;
   cfg.undergrads_per_dept = 2000;
   cfg.grads_per_dept = 500;
   Dataset dense = GenerateLubmDataset(cfg);
   EngineOptions opt;
-  opt.skip_redundant_star_retrieval = true;
   opt.parallelism = 1;
   opt.timeout_millis = 1;
   auto db = Database::Build(dense, opt);
@@ -101,11 +81,11 @@ TEST_F(ParallelTimeoutTest, SerialExistenceOnlyStarHonorsDeadline) {
       << r.status().ToString();
 }
 
-TEST_F(ParallelTimeoutTest, DeadlineCoverageMatrixAllEnginesAndSharded) {
+TEST_F(ParallelTimeoutTest, DeadlineCoverageMatrixAllEngines) {
   // Satellite (a) of the resource-governor PR: every engine — the four
-  // QueryEngine implementations and the sharded scatter path — honors a
-  // shared QueryContext deadline. An expired 1 ms context must come back
-  // as DeadlineExceeded from each Execute(query, ctx) override.
+  // QueryEngine implementations — honors a shared QueryContext deadline.
+  // An expired 1 ms context must come back as DeadlineExceeded from each
+  // Execute(query, ctx) override.
   auto q = ParseSparql(LubmModifiedWorkload().Get("Q11").sparql);
   ASSERT_TRUE(q.ok());
 
@@ -128,17 +108,6 @@ TEST_F(ParallelTimeoutTest, DeadlineCoverageMatrixAllEnginesAndSharded) {
     EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
         << engine->name() << ": " << r.status().ToString();
   }
-
-  ShardedOptions sharded_opt;
-  sharded_opt.num_shards = 4;
-  sharded_opt.engine.parallelism = 4;
-  auto sharded = ShardedDatabase::Build(*data_, sharded_opt);
-  ASSERT_TRUE(sharded.ok());
-  QueryContext ctx(/*timeout_millis=*/1);
-  auto r = sharded.value().Execute(q.value(), &ctx);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
-      << r.status().ToString();
 }
 
 TEST_F(ParallelTimeoutTest, GenerousDeadlineStillAnswersInParallel) {
