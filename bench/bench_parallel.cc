@@ -64,19 +64,7 @@ bool Run() {
       " matched ECS sets leave little to scatter; load parallelism (sorts,"
       " extraction, index builds) scales more uniformly.\n");
 
-  // Row-vs-batch ablation on the pooled engine: the process-default mode
-  // flip inside the section covers the scatter/gather workers.
-  EngineOptions opt;
-  opt.use_hierarchy = true;
-  opt.use_planner = true;
-  opt.parallelism = 4;
-  auto db = Database::Build(data, opt);
-  if (!db.ok()) {
-    std::fprintf(stderr, "build failed: %s\n", db.status().ToString().c_str());
-    return false;
-  }
-  return RunBatchAblationSection(db.value(), LubmModifiedWorkload(),
-                                 "parallel");
+  return true;
 }
 
 }  // namespace

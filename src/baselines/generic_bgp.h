@@ -59,7 +59,7 @@ using AccessPathFn = std::function<AccessPath(const IdPattern&)>;
 /// product when the pattern graph is disconnected), then applies filters,
 /// DISTINCT/projection and LIMIT.
 /// `ctx` may be null (no deadline, no budget, no cancellation); with a
-/// context, stops are observed every kStopCheckRows rows inside scans and
+/// context, stops are observed once per kBatchRows block inside scans and
 /// joins and surface as DeadlineExceeded / Cancelled / ResourceExhausted —
 /// the engine-level mechanism behind the paper's per-query 30-minute cap.
 Result<QueryResult> EvaluateBgpGreedy(const SelectQuery& query,

@@ -37,9 +37,8 @@ struct EngineOptions {
   /// Per-query wall-clock budget in milliseconds; 0 = unlimited. The
   /// paper's evaluation imposes a 30-minute timeout on every engine
   /// (Sec. V.A); this is the engine-level mechanism behind it. Checked
-  /// between operators and, inside every scan/join loop, every
-  /// kStopCheckRows rows (one B+-tree leaf), so overshoot is bounded by a
-  /// single leaf scan per worker.
+  /// between operators and, inside every scan/join loop, once per
+  /// kBatchRows block, so overshoot is bounded by one block per worker.
   uint64_t timeout_millis = 0;
 
   /// Per-query memory budget in bytes for intermediate results (operator

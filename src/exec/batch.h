@@ -1,5 +1,5 @@
 // Columnar execution batches: the unit of work of the block-at-a-time
-// operators (exec/batch_ops.cc).
+// operators (exec/operators.cc).
 //
 // A Batch holds up to kBatchRows rows of a BindingTable's schema as
 // contiguous per-column TermId arrays (column-major). Operators run
@@ -7,7 +7,7 @@
 // refine it, gather the survivors — and only transpose back to the
 // row-major BindingTable layout once per batch (BindingTable::AppendBatch),
 // which is also where cooperative-stop checks and memory-budget charges
-// land: once per batch instead of once per 64-row leaf.
+// land: once per batch, not once per row.
 //
 // The kernels are written as index-accumulating scalar loops over
 // contiguous u32 arrays with no data-dependent branches in the loop body —

@@ -2,9 +2,9 @@
 // caller cancel and budget kill. Covers the token/context state machine,
 // the StopStatus mapping, pre-cancelled execution on the serial and
 // parallel paths, mid-flight cancellation from another thread (with a
-// leaf-granularity latency bound measured through the exec.triples_scanned
-// counter when the metrics layer is compiled in), and cancellation through
-// the GovernedEngine's admission gate.
+// kBatchRows-granularity latency bound measured through the
+// exec.triples_scanned counter when the metrics layer is compiled in), and
+// cancellation through the GovernedEngine's admission gate.
 
 #include "util/cancellation.h"
 
