@@ -1,6 +1,8 @@
 #include "util/metrics.h"
 
+#include <algorithm>
 #include <bit>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -12,8 +14,10 @@ namespace metrics {
 namespace {
 
 inline int BucketOf(uint64_t value) {
-  // 0,1 -> 0; [2,4) -> 2; [2^(i-1), 2^i) -> i.
-  return value < 2 ? 0 : 64 - std::countl_zero(value);
+  // 0,1 -> 0; [2,4) -> 2; [2^(i-1), 2^i) -> i; the last bucket also takes
+  // [2^63, 2^64), which would otherwise index one past the array.
+  if (value < 2) return 0;
+  return std::min(64 - std::countl_zero(value), Histogram::kBuckets - 1);
 }
 
 }  // namespace
@@ -37,7 +41,10 @@ uint64_t Histogram::Quantile(double q) const {
   for (int i = 0; i < kBuckets; ++i) {
     seen += buckets_[i].load(std::memory_order_relaxed);
     if (seen > rank) {
-      return i == 0 ? 1 : (uint64_t{1} << i) - 1;  // bucket upper bound
+      // The bucket's upper bound; the last bucket is open-ended.
+      if (i == 0) return 1;
+      if (i == kBuckets - 1) return std::numeric_limits<uint64_t>::max();
+      return (uint64_t{1} << i) - 1;
     }
   }
   return max();

@@ -20,8 +20,7 @@
 //    `queue_wait_millis`; a full queue or a timed-out wait sheds the query
 //    with Status::Unavailable carrying a retry-after hint. Outcome
 //    counters (admitted/shed/completed/budget-killed/degraded/...) feed
-//    the bench-report "governor" section and, when observability is on,
-//    the metrics registry as governor.* counters.
+//    the bench-report "governor" section.
 //
 // Counters are aggregated process-wide (GlobalSnapshot) so bench binaries
 // report them without threading a governor instance through the harness.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,6 +42,19 @@ TEST(HistogramTest, QuantilesAreBucketUpperBounds) {
   // least the value itself.
   EXPECT_GE(h.Quantile(0.999), uint64_t{1} << 20);
   EXPECT_LE(h.Quantile(0.999), (uint64_t{1} << 21) - 1);
+}
+
+TEST(HistogramTest, TopBitValuesLandInTheLastBucket) {
+  // Regression: values >= 2^63 indexed one slot past the bucket array,
+  // which is count_ — one Observe then read back as two samples.
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  for (uint64_t v : {uint64_t{1} << 63, kMax}) {
+    Histogram h;
+    h.Observe(v);
+    EXPECT_EQ(h.count(), 1u) << v;
+    EXPECT_EQ(h.max(), v);
+    EXPECT_EQ(h.Quantile(1.0), kMax) << v;
+  }
 }
 
 TEST(HistogramTest, ToJsonFields) {

@@ -376,6 +376,56 @@ TEST(ResourceGovernorTest, CounterIdentityHoldsAfterMixedOutcomes) {
   EXPECT_EQ(c.degraded, 1u);
 }
 
+TEST(ResourceGovernorTest, GlobalSnapshotCountsEveryOutcome) {
+  // The process-wide aggregate (the BENCH JSON "governor" section) sums
+  // every field of every instance. Distinct counts per outcome catch a
+  // field wired to the wrong aggregate slot.
+  ResourceGovernor::ResetGlobalForTest();
+  ResourceGovernor g;
+  uint64_t times = 1;
+  for (QueryOutcome outcome :
+       {QueryOutcome::kCompleted, QueryOutcome::kBudgetKilled,
+        QueryOutcome::kCancelled, QueryOutcome::kDeadlineExpired,
+        QueryOutcome::kDegraded, QueryOutcome::kFailed}) {
+    for (uint64_t i = 0; i < times; ++i) {
+      ASSERT_TRUE(g.Admit().ok());
+      g.RecordOutcome(outcome);
+      g.Release();
+    }
+    ++times;
+  }
+  GovernorOptions opt;
+  opt.max_concurrent = 1;
+  opt.max_queue = 0;
+  ResourceGovernor shedding(opt);
+  ASSERT_TRUE(shedding.Admit().ok());
+  EXPECT_FALSE(shedding.Admit().ok());
+  shedding.RecordOutcome(QueryOutcome::kCompleted);
+  shedding.Release();
+
+  GovernorCounters c = g.Snapshot();
+  EXPECT_EQ(c.submitted, 21u);
+  EXPECT_EQ(c.admitted, 21u);
+  EXPECT_EQ(c.completed, 1u);
+  EXPECT_EQ(c.budget_killed, 2u);
+  EXPECT_EQ(c.cancelled, 3u);
+  EXPECT_EQ(c.deadline_expired, 4u);
+  EXPECT_EQ(c.degraded, 5u);
+  EXPECT_EQ(c.failed, 6u);
+  GovernorCounters s = shedding.Snapshot();
+  GovernorCounters global = ResourceGovernor::GlobalSnapshot();
+  EXPECT_EQ(global.submitted, c.submitted + s.submitted);
+  EXPECT_EQ(global.admitted, c.admitted + s.admitted);
+  EXPECT_EQ(global.queued, c.queued + s.queued);
+  EXPECT_EQ(global.shed, 1u);
+  EXPECT_EQ(global.completed, c.completed + s.completed);
+  EXPECT_EQ(global.budget_killed, c.budget_killed);
+  EXPECT_EQ(global.cancelled, c.cancelled);
+  EXPECT_EQ(global.deadline_expired, c.deadline_expired);
+  EXPECT_EQ(global.degraded, c.degraded);
+  EXPECT_EQ(global.failed, c.failed);
+}
+
 // -------------------------------------------------- budgeted query paths
 
 class GovernedQueryTest : public ::testing::Test {
