@@ -3,8 +3,8 @@
 // the bibliographic generator (src/datagen/sp2b_generator.h).
 //
 // Unlike the Fig. 6 suites, most of these queries leave the conjunctive
-// ECS fast path and exercise the general evaluator, so this binary is the
-// perf gate for the extended query layer.
+// ECS fast path and exercise the general evaluator, so this binary's
+// counters are the perf gate for the extended query layer.
 
 #include "bench_common.h"
 #include "datagen/sp2b_generator.h"
