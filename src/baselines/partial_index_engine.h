@@ -22,19 +22,15 @@ class PartialIndexEngine : public QueryEngine {
   static PartialIndexEngine Build(const Dataset& dataset);
 
   std::string name() const override { return "PartialIdx(Virtuoso)"; }
-  Result<QueryResult> Execute(const SelectQuery& query) const override;
+  using QueryEngine::Execute;
   Result<QueryResult> Execute(const SelectQuery& query,
                               QueryContext* ctx) const override;
   uint64_t StorageBytes() const override;
-
-  /// Per-query wall-clock budget (ms); 0 = unlimited.
-  void set_timeout_millis(uint64_t ms) { timeout_millis_ = ms; }
 
  private:
   AccessPath MakeAccessPath(const IdPattern& p) const;
 
   const Dictionary* dict_ = nullptr;
-  uint64_t timeout_millis_ = 0;
   TripleTable pso_;  // full index
   TripleTable pos_;  // full index
   TripleTable sop_;  // partial: subject-major, used only for bound-S probes

@@ -23,13 +23,10 @@ class SixPermEngine : public QueryEngine {
   static SixPermEngine Build(const Dataset& dataset);
 
   std::string name() const override { return "SixPerm(RDF-3x)"; }
-  Result<QueryResult> Execute(const SelectQuery& query) const override;
+  using QueryEngine::Execute;
   Result<QueryResult> Execute(const SelectQuery& query,
                               QueryContext* ctx) const override;
   uint64_t StorageBytes() const override;
-
-  /// Per-query wall-clock budget (ms); 0 = unlimited.
-  void set_timeout_millis(uint64_t ms) { timeout_millis_ = ms; }
 
   /// The permutation whose key prefix covers the pattern's bound
   /// components (exposed for tests).
@@ -39,7 +36,6 @@ class SixPermEngine : public QueryEngine {
   AccessPath MakeAccessPath(const IdPattern& p) const;
 
   const Dictionary* dict_ = nullptr;
-  uint64_t timeout_millis_ = 0;
   std::array<TripleTable, 6> tables_;
 };
 

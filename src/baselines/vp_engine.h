@@ -23,13 +23,10 @@ class VpEngine : public QueryEngine {
   static VpEngine Build(const Dataset& dataset);
 
   std::string name() const override { return "VertPart(TripleBit)"; }
-  Result<QueryResult> Execute(const SelectQuery& query) const override;
+  using QueryEngine::Execute;
   Result<QueryResult> Execute(const SelectQuery& query,
                               QueryContext* ctx) const override;
   uint64_t StorageBytes() const override;
-
-  /// Per-query wall-clock budget (ms); 0 = unlimited.
-  void set_timeout_millis(uint64_t ms) { timeout_millis_ = ms; }
 
   size_t num_predicates() const { return chunks_.size(); }
 
@@ -42,7 +39,6 @@ class VpEngine : public QueryEngine {
   AccessPath MakeAccessPath(const IdPattern& p) const;
 
   const Dictionary* dict_ = nullptr;
-  uint64_t timeout_millis_ = 0;
   std::map<TermId, Chunk> chunks_;
   uint64_t total_triples_ = 0;
 };

@@ -93,7 +93,7 @@ class Database : public QueryEngine {
 
   // QueryEngine interface.
   std::string name() const override { return options_.ConfigName(); }
-  Result<QueryResult> Execute(const SelectQuery& query) const override;
+  using QueryEngine::Execute;
   Result<QueryResult> Execute(const SelectQuery& query,
                               QueryContext* ctx) const override;
   uint64_t StorageBytes() const override;
@@ -147,6 +147,12 @@ class Database : public QueryEngine {
     return Executor(&dict_, &cs_index_, &ecs_index_, &graph_, &stats_,
                     options_, pool_.get(), buffer_.get());
   }
+
+  /// The body of Open (`mapped` false) and OpenMapped (true): reads every
+  /// section of a Save()d file; a mapped load keeps the reader alive in
+  /// mapped_file_ and serves the tables from it.
+  static Result<Database> Load(const std::string& path, EngineOptions options,
+                               bool mapped);
 
   /// Switches the SPO/PSO tables to compressed paged storage: builds (or
   /// adopts, when `spo_pages`/`pso_pages` hold serialized sections) the

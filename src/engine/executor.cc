@@ -79,13 +79,8 @@ BindingTable Executor::EvalQueryEcs(const QueryGraph& qg, int query_ecs,
       // Worker thread: install the query's budget and honor its stops.
       BudgetScope budget_scope(ctx != nullptr ? ctx->budget() : nullptr);
       if (ctx != nullptr && ctx->ShouldStop()) return;
-      if (!pso.paged()) {
-        parts[i] =
-            ScanPattern(pso.ResidentSlice(ranges[i]), p, &part_stats[i], ctx);
-        return;
-      }
-      // Paged: feed the scan one pinned page at a time. Chunk-invariant:
-      // same rows, stats and charges as the contiguous slice above.
+      // One chunk when resident, one pinned page at a time when paged; the
+      // scanner is chunk-invariant (same rows, stats and charges).
       PatternScanner scanner(p);
       pso.Scan(ranges[i], [&](std::span<const Triple> chunk, uint64_t) {
         scanner.Feed(chunk, &part_stats[i], ctx);
@@ -226,13 +221,8 @@ void Executor::StarMergeScanSource(const QueryGraph& qg,
                                    const TripleSource& src,
                                    const RowRange& range, BindingTable* out,
                                    ExecStats* stats, QueryContext* ctx) const {
-  if (!src.paged()) {
-    StarMergeScan(qg, star_patterns, src.ResidentSlice(range), out, stats,
-                  ctx);
-    return;
-  }
-  // Paged: a subject group can straddle pages, so carry the trailing
-  // incomplete group across chunks and flush only whole-group prefixes.
+  // A subject group can straddle pages, so carry the trailing incomplete
+  // group across chunks and flush only whole-group prefixes.
   // Groups are independent and arrive in order, so the concatenation of
   // flushes emits exactly the contiguous scan's rows; rows_scanned and
   // budget charges are chunk-invariant.
@@ -340,20 +330,13 @@ BindingTable Executor::EvalStarNode(const QueryGraph& qg, int node,
     BindingTable per_cs;
     bool first = true;
     for (int pi : star_patterns) {
-      // Paged: re-scan the range per pattern (pages stay cache-warm across
-      // patterns), preserving the resident path's early break on an empty
-      // join and its per-pattern stats exactly.
-      BindingTable t;
-      if (!spo.paged()) {
-        t = ScanPattern(spo.ResidentSlice(ranges[i]), qg.patterns[pi],
-                        &part_stats[i], ctx);
-      } else {
-        PatternScanner scanner(qg.patterns[pi]);
-        spo.Scan(ranges[i], [&](std::span<const Triple> chunk, uint64_t) {
-          scanner.Feed(chunk, &part_stats[i], ctx);
-        });
-        t = scanner.Finish(&part_stats[i]);
-      }
+      // Re-scan the range per pattern (paged: pages stay cache-warm across
+      // patterns), with an early break on an empty join.
+      PatternScanner scanner(qg.patterns[pi]);
+      spo.Scan(ranges[i], [&](std::span<const Triple> chunk, uint64_t) {
+        scanner.Feed(chunk, &part_stats[i], ctx);
+      });
+      BindingTable t = scanner.Finish(&part_stats[i]);
       if (first) {
         per_cs = std::move(t);
         first = false;
@@ -433,11 +416,6 @@ JoinOrder Executor::ComputeChainJoinPlan(
   input.priority = std::move(priority);
   input.num_nodes = qg.nodes.size();
   return OrderJoinsGreedy(input, options_.use_planner);
-}
-
-Result<QueryResult> Executor::Execute(const SelectQuery& query) const {
-  QueryContext ctx(options_.timeout_millis, options_.memory_budget_bytes);
-  return Execute(query, &ctx);
 }
 
 Result<QueryResult> Executor::Execute(const SelectQuery& query,

@@ -34,19 +34,6 @@ struct EngineOptions {
   bool use_hierarchy = true;
   bool use_planner = true;
 
-  /// Per-query wall-clock budget in milliseconds; 0 = unlimited. The
-  /// paper's evaluation imposes a 30-minute timeout on every engine
-  /// (Sec. V.A); this is the engine-level mechanism behind it. Checked
-  /// between operators and, inside every scan/join loop, once per
-  /// kBatchRows block, so overshoot is bounded by one block per worker.
-  uint64_t timeout_millis = 0;
-
-  /// Per-query memory budget in bytes for intermediate results (operator
-  /// buffers + hash-join builds); 0 = unlimited. Charged before growth, so
-  /// an over-budget query returns ResourceExhausted without its tracked
-  /// allocations ever exceeding the budget.
-  uint64_t memory_budget_bytes = 0;
-
   /// Worker threads for load-time extraction/index builds and query-time
   /// scans: 0 = hardware concurrency, 1 = the serial reference path
   /// (default; exactly the pre-parallel engine), K > 1 = a fixed pool of K
@@ -99,8 +86,6 @@ class Executor {
         buffer_(buffer),
         matcher_(cs_index, ecs_index, graph),
         planner_(ecs_index, stats) {}
-
-  Result<QueryResult> Execute(const SelectQuery& query) const;
 
   /// Executes under a caller-owned context; timeout/budget/cancel stops
   /// surface as DeadlineExceeded / ResourceExhausted / Cancelled.

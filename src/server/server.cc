@@ -464,12 +464,10 @@ void SparqlHttpServer::DispatchRequest(Connection* conn,
   conn->executing = true;
   conn->token = std::make_shared<CancellationToken>();
   // Backstop: the engine's own deadline should fire first; this catches a
-  // worker that wedges past it (grace on top of the effective timeout).
-  uint64_t effective = timeout != 0 ? timeout : engine_->options().timeout_millis;
+  // worker that wedges past it (grace on top of the request timeout).
   conn->exec_backstop =
-      effective != 0
-          ? After(effective + options_.deadline_grace_millis)
-          : Clock::time_point::max();
+      timeout != 0 ? After(timeout + options_.deadline_grace_millis)
+                   : Clock::time_point::max();
   conn->backstop_fired = false;
   ++jobs_in_flight_;
   ExecuteJob(conn->id, std::move(query_text), want_json, request.keep_alive,
@@ -496,8 +494,8 @@ void SparqlHttpServer::ExecuteJob(uint64_t conn_id, std::string query_text,
         resp.body = "parse error: " + parsed.status().ToString() + "\n";
         done.klass = ResponseClass::kClientError;
       } else {
-        auto result = engine_->ExecuteCancellable(parsed.value(), token.get(),
-                                                  timeout_millis);
+        QueryContext ctx(timeout_millis, 0, token.get());
+        auto result = engine_->Execute(parsed.value(), &ctx);
         if (result.ok()) {
           auto body = WriteResults(result.value().table, *dict_,
                                    want_json ? ResultFormat::kJson

@@ -175,17 +175,6 @@ class TripleSource {
   explicit TripleSource(const TripleTable* resident) : resident_(resident) {}
   explicit TripleSource(const PagedTripleTable* paged) : paged_(paged) {}
 
-  bool paged() const { return paged_ != nullptr; }
-  uint64_t size() const {
-    return paged_ != nullptr ? paged_->num_rows() : resident_->size();
-  }
-
-  /// Resident fast path: the zero-copy span the existing operators take.
-  /// Precondition: !paged().
-  std::span<const Triple> ResidentSlice(const RowRange& r) const {
-    return resident_->slice(r);
-  }
-
   /// Chunked scan of `r` in row order: one chunk (the whole slice) when
   /// resident, one chunk per pinned page when paged.
   void Scan(const RowRange& r,

@@ -58,8 +58,11 @@ class QueryStopError : public std::runtime_error {
   StopCause cause_;
 };
 
-/// Per-query execution context: deadline + budget + cancel token. Owned by
-/// the query entry point; all of the query's tasks share one instance.
+/// Per-query execution context: deadline + budget + cancel token — the one
+/// carrier of a query's limits (the paper's evaluation timeout, Sec. V.A,
+/// is a context deadline). The caller owns it and passes it to
+/// QueryEngine::Execute; all of the query's tasks share one instance. The
+/// deadline starts at construction.
 class QueryContext {
  public:
   QueryContext() : QueryContext(0, 0, nullptr) {}

@@ -191,7 +191,8 @@ TEST_F(CancelExecutionTest, GovernedPreCancelledNeverRunsThePrimary) {
   ASSERT_TRUE(q.ok());
   CancellationToken token;
   token.Cancel();
-  auto r = governed.ExecuteCancellable(q.value(), &token);
+  QueryContext ctx(/*timeout_millis=*/0, /*memory_budget_bytes=*/0, &token);
+  auto r = governed.Execute(q.value(), &ctx);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
   GovernorCounters c = governed.governor().Snapshot();
@@ -215,7 +216,8 @@ TEST_F(CancelExecutionTest, GovernedCancelSkipsDegradation) {
   ASSERT_TRUE(q.ok());
   CancellationToken token;
   token.Cancel();
-  auto r = governed.ExecuteCancellable(q.value(), &token);
+  QueryContext ctx(/*timeout_millis=*/0, /*memory_budget_bytes=*/0, &token);
+  auto r = governed.Execute(q.value(), &ctx);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(governed.governor().Snapshot().degraded, 0u);

@@ -89,7 +89,9 @@ TEST(OverloadSoakTest, TwoHundredQueriesAllResolveAndAccountingBalances) {
         // cancel path of the admission gate under load.
         if (i % 16 == 15) tokens[i].Cancel();
         const SelectQuery& q = pool[rng.Uniform(pool.size())];
-        auto r = governed.ExecuteCancellable(q, &tokens[i]);
+        QueryContext ctx(/*timeout_millis=*/0, /*memory_budget_bytes=*/0,
+                         &tokens[i]);
+        auto r = governed.Execute(q, &ctx);
         resolved.fetch_add(1);
         StatusCode code = r.ok() ? StatusCode::kOk : r.status().code();
         switch (code) {

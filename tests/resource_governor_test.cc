@@ -544,10 +544,10 @@ TEST_F(GovernedQueryTest, DeadlineExpiredIsNotRetriedOnTheFallback) {
   ASSERT_TRUE(q.ok());
   GovernedOptions opt;
   opt.degrade_to_baseline = true;
-  opt.timeout_millis = 1;
   GovernedEngine governed(db_, fallback_, opt);
   // Tiny data may still answer inside 1 ms; only a timeout must not degrade.
-  auto r = governed.Execute(q.value());
+  QueryContext ctx(/*timeout_millis=*/1);
+  auto r = governed.Execute(q.value(), &ctx);
   if (!r.ok()) {
     EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
     EXPECT_EQ(governed.governor().Snapshot().degraded, 0u);

@@ -220,8 +220,8 @@ void ExpectAccountingClean(const SparqlHttpServer& server) {
 struct Harness {
   explicit Harness(GovernedOptions gov = {}, ServerOptions opts = {}) {
     if (gov.admission.max_concurrent == 0) gov.admission.max_concurrent = 4;
-    if (gov.timeout_millis == 0) gov.timeout_millis = 10'000;
     engine = std::make_unique<GovernedEngine>(TestDb(), nullptr, gov);
+    if (opts.request_timeout_millis == 0) opts.request_timeout_millis = 10'000;
     opts.port = 0;
     opts.num_workers = 2;
     server = std::make_unique<SparqlHttpServer>(engine.get(),

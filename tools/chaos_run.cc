@@ -404,7 +404,9 @@ int RunOverload(const Args& args) {
         // kCancelled outcomes in the accounting.
         if (i % 16 == 15) tokens[i].Cancel();
         const SelectQuery& q = pool[rng.Uniform(pool.size())];
-        auto r = governed.ExecuteCancellable(q, &tokens[i]);
+        QueryContext ctx(/*timeout_millis=*/0, /*memory_budget_bytes=*/0,
+                         &tokens[i]);
+        auto r = governed.Execute(q, &ctx);
         const StatusCode code = r.ok() ? StatusCode::kOk : r.status().code();
         switch (code) {
           case StatusCode::kOk:
@@ -659,7 +661,6 @@ int RunServerSoak(const Args& args) {
   gov_opts.admission.queue_wait_millis = 250;
   gov_opts.admission.retry_after_millis = 20;
   gov_opts.admission.retry_jitter_seed = args.seed;
-  gov_opts.timeout_millis = 5000;
   gov_opts.seed = args.seed;
   GovernedEngine engine(&db, nullptr, gov_opts);
 
@@ -670,6 +671,7 @@ int RunServerSoak(const Args& args) {
   opts.read_timeout_millis = 300;
   opts.write_timeout_millis = 2000;
   opts.drain_timeout_millis = 3000;
+  opts.request_timeout_millis = 5000;
   server::SparqlHttpServer server(&engine, &db.dict(), opts);
   Status started = server.Start();
   if (!started.ok()) {
