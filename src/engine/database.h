@@ -145,7 +145,7 @@ class Database : public QueryEngine {
   // the serial path) is shared across concurrent Execute() calls.
   Executor MakeExecutor() const {
     return Executor(&dict_, &cs_index_, &ecs_index_, &graph_, &stats_,
-                    options_, pool_.get(), buffer_.get());
+                    options_, pool_.get());
   }
 
   /// The body of Open (`mapped` false) and OpenMapped (true): reads every

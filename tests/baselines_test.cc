@@ -5,6 +5,7 @@
 #include "baselines/partial_index_engine.h"
 #include "baselines/sixperm_engine.h"
 #include "baselines/vp_engine.h"
+#include "engine/database.h"
 #include "sparql/parser.h"
 #include "test_util.h"
 
@@ -156,14 +157,17 @@ TEST(GenericBgpTest, BindPatternsSetsEmptyFlag) {
   EXPECT_TRUE(empty);
 }
 
-TEST(GenericBgpTest, RejectsEmptyPatternList) {
-  Dataset d = Fig1Dataset();
-  SelectQuery q;
-  auto r = EvaluateBgpGreedy(q, d.dict, [](const IdPattern&) {
-    return AccessPath{
-        0, [](ExecStats*, QueryContext*) { return BindingTable(); }};
-  });
-  EXPECT_FALSE(r.ok());
+TEST_F(BaselinesTest, EveryEngineRejectsAnEmptyPatternList) {
+  // The query pipeline rejects an empty BGP before any engine sees it.
+  auto db = Database::Build(data_);
+  ASSERT_TRUE(db.ok());
+  const SelectQuery q;
+  for (const QueryEngine* e : std::initializer_list<const QueryEngine*>{
+           &db.value(), &sixperm_, &partial_, &vp_}) {
+    auto r = e->Execute(q);
+    ASSERT_FALSE(r.ok()) << e->name();
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << e->name();
+  }
 }
 
 }  // namespace

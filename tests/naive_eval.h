@@ -4,7 +4,7 @@
 // UNION, FILTER expressions, GROUP BY/COUNT, ORDER BY, DISTINCT,
 // OFFSET/LIMIT) — directly over a Dataset's raw triple vector with
 // map-based solutions, sharing *no* code with src/exec or the engines'
-// composition layer (engine/extended_eval.*). Deliberately slow and
+// query pipeline (engine/query_pipeline.*). Deliberately slow and
 // obvious: nested-loop pattern matching, per-row recursive filter
 // evaluation, term-level sort keys rebuilt from the documented SPARQL
 // semantics. Cross-checking the seven engine configurations against this
