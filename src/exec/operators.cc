@@ -917,13 +917,16 @@ BindingTable OrderBy(const BindingTable& in, const std::vector<OrderKey>& keys,
     int c = in.ColumnIndex(k.var);
     if (c >= 0) key_cols.emplace_back(static_cast<size_t>(c), k.ascending);
   }
-  // Rank the distinct ids of the key columns once in term order; rows then
-  // compare by cheap integer ranks. Distinct collection is sort+unique over
-  // contiguous block extracts. Sorting is a pipeline breaker: charge the
-  // permutation and rank table before building them.
+  // Rank the distinct ids of the key columns once in term order, then
+  // resolve every key cell to its rank up front: rows compare by a
+  // row-major array of integer ranks, with no lookup in the comparator.
+  // Distinct collection is sort+unique over contiguous block extracts.
+  // Sorting is a pipeline breaker: charge the permutation, the key table
+  // and the rank array before building them.
   const size_t rows = in.num_rows();
+  const size_t nkeys = key_cols.size();
   std::vector<TermId> distinct;
-  distinct.reserve(rows * key_cols.size());
+  distinct.reserve(rows * nkeys);
   std::vector<TermId> buf(kBatchRows);
   for (const auto& [col, asc] : key_cols) {
     for (size_t base = 0; base < rows; base += kBatchRows) {
@@ -938,28 +941,48 @@ BindingTable OrderBy(const BindingTable& in, const std::vector<OrderKey>& keys,
                  distinct.end());
   if (MemoryBudget* budget = BudgetScope::Current()) {
     budget->Charge(rows * sizeof(size_t) +
-                   distinct.size() * (sizeof(TermSortKey) + 64));
+                   distinct.size() * (sizeof(TermSortKey) + 64) +
+                   rows * nkeys * sizeof(uint32_t));
   }
-  std::vector<std::pair<TermSortKey, TermId>> keyed;
+  std::vector<std::pair<TermSortKey, uint32_t>> keyed;  // (key, distinct idx)
   keyed.reserve(distinct.size());
-  for (TermId id : distinct) keyed.emplace_back(MakeTermSortKey(id, dict), id);
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    keyed.emplace_back(MakeTermSortKey(distinct[i], dict),
+                       static_cast<uint32_t>(i));
+  }
   std::stable_sort(keyed.begin(), keyed.end(),
                    [](const auto& a, const auto& b) {
                      return CompareTermSortKeys(a.first, b.first) < 0;
                    });
-  std::unordered_map<uint32_t, size_t> rank;
-  rank.reserve(keyed.size());
+  std::vector<uint32_t> rank_of(distinct.size());  // by distinct index
   for (size_t i = 0; i < keyed.size(); ++i) {
-    rank.emplace(keyed[i].second.value(), i);
+    rank_of[keyed[i].second] = static_cast<uint32_t>(i);
+  }
+  keyed = {};
+  std::vector<uint32_t> ranks(rows * nkeys);  // ranks[row * nkeys + key]
+  for (size_t k = 0; k < nkeys; ++k) {
+    const size_t col = key_cols[k].first;
+    for (size_t base = 0; base < rows; base += kBatchRows) {
+      if (ctx != nullptr) ctx->CheckStop();
+      const size_t n = std::min(kBatchRows, rows - base);
+      ExtractCol(in, base, n, col, buf.data());
+      for (size_t j = 0; j < n; ++j) {
+        const size_t d = static_cast<size_t>(
+            std::lower_bound(distinct.begin(), distinct.end(), buf[j]) -
+            distinct.begin());
+        ranks[(base + j) * nkeys + k] = rank_of[d];
+      }
+    }
   }
 
   std::vector<size_t> perm(rows);
   std::iota(perm.begin(), perm.end(), size_t{0});
   std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-    for (const auto& [col, asc] : key_cols) {
-      size_t ra = rank.at(in.at(a, col).value());
-      size_t rb = rank.at(in.at(b, col).value());
-      if (ra != rb) return asc ? ra < rb : ra > rb;
+    const uint32_t* ra = ranks.data() + a * nkeys;
+    const uint32_t* rb = ranks.data() + b * nkeys;
+    for (size_t k = 0; k < nkeys; ++k) {
+      if (ra[k] != rb[k]) return key_cols[k].second ? ra[k] < rb[k]
+                                                     : ra[k] > rb[k];
     }
     // Deterministic tie-break over the whole row (ids are assigned
     // identically by every engine building from the same dataset).

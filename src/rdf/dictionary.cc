@@ -40,17 +40,14 @@ uint32_t Dictionary::InternPrefix(std::string_view prefix) {
 }
 
 TermId Dictionary::Intern(const Term& term) {
-  return InternCanonical(term.Canonical());
-}
-
-TermId Dictionary::InternCanonical(const std::string& canonical) {
+  std::string canonical = term.Canonical();
   auto it = term_map_.find(canonical);
   if (it != term_map_.end()) return it->second;
   auto [prefix, suffix] = SplitPrefix(canonical);
   prefix_ids_.push_back(InternPrefix(prefix));
   suffixes_.emplace_back(suffix);
   TermId id(static_cast<uint32_t>(suffixes_.size()));  // ids start at 1
-  term_map_.emplace(canonical, id);
+  term_map_.emplace(std::move(canonical), id);
   return id;
 }
 
@@ -65,9 +62,18 @@ std::optional<TermId> Dictionary::LookupCanonical(
   return it->second;
 }
 
+void Dictionary::AppendCanonical(TermId id, std::string* out) const {
+  const size_t i = id.value() - 1;
+  out->append(prefixes_[prefix_ids_[i]]);
+  out->append(suffixes_[i]);
+}
+
 std::string Dictionary::GetCanonical(TermId id) const {
-  size_t i = id.value() - 1;
-  return prefixes_[prefix_ids_[i]] + suffixes_[i];
+  const size_t i = id.value() - 1;
+  std::string s;
+  s.reserve(prefixes_[prefix_ids_[i]].size() + suffixes_[i].size());
+  AppendCanonical(id, &s);
+  return s;
 }
 
 Result<Term> Dictionary::GetTerm(TermId id) const {
@@ -152,7 +158,15 @@ Result<Dictionary> Dictionary::Deserialize(std::string_view data) {
     dict.suffixes_.emplace_back(p, len);
     p += len;
     TermId id(static_cast<uint32_t>(i + 1));
-    dict.term_map_.emplace(dict.GetCanonical(id), id);
+    std::string canonical = dict.GetCanonical(id);
+    // Result writers copy stored bytes verbatim, so only text that
+    // Term::Canonical() could have produced may enter the dictionary.
+    Result<Term> term = Term::FromCanonical(canonical);
+    if (!term.ok() || term.value().Canonical() != canonical) {
+      return Status::Corruption("dictionary: entry " + std::to_string(i + 1) +
+                                " is not canonical term text");
+    }
+    dict.term_map_.emplace(std::move(canonical), id);
   }
 
   // Validate the clustered section.

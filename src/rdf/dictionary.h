@@ -30,12 +30,18 @@ class Dictionary {
   /// Ids are dense and start at 1 (0 is reserved for "unbound").
   TermId Intern(const Term& term);
 
-  /// Interns a term given directly in canonical form.
-  TermId InternCanonical(const std::string& canonical);
-
   /// Id of `term` if present.
   std::optional<TermId> Lookup(const Term& term) const;
   std::optional<TermId> LookupCanonical(std::string_view canonical) const;
+
+  /// Appends the canonical text of `id` (its prefix, then its suffix) to
+  /// `out`; allocates only if `out` must grow. Precondition:
+  /// 1 <= id <= size(). The bytes are exactly what Term::Canonical()
+  /// produced when the term was interned — Deserialize rejects any entry
+  /// for which that does not hold — so callers may slice IRIs, labels,
+  /// lexical forms, language tags and datatypes out of them without
+  /// parsing a Term.
+  void AppendCanonical(TermId id, std::string* out) const;
 
   /// Canonical string of an id. Precondition: 1 <= id <= size().
   std::string GetCanonical(TermId id) const;
@@ -52,7 +58,9 @@ class Dictionary {
   /// Serializes to `out` (appends).
   Status Serialize(std::string* out) const;
 
-  /// Rebuilds a dictionary from a Serialize()d buffer.
+  /// Rebuilds a dictionary from a Serialize()d buffer. Returns Corruption
+  /// for a malformed buffer, including an entry that is not canonical term
+  /// text (it does not parse, or does not re-serialize to itself).
   static Result<Dictionary> Deserialize(std::string_view data);
 
   /// Approximate in-memory footprint in bytes (for the Table III storage

@@ -315,40 +315,54 @@ std::string_view StatusReason(int status) {
   }
 }
 
-std::string ChunkBody(std::string_view body, size_t chunk_bytes) {
+void ChunkBody(std::string_view body, size_t chunk_bytes, std::string* out) {
   if (chunk_bytes == 0) chunk_bytes = body.size() + 1;
-  std::string out;
-  out.reserve(body.size() + 64);
   size_t pos = 0;
   while (pos < body.size()) {
     size_t n = std::min(chunk_bytes, body.size() - pos);
     char hex[32];
-    std::snprintf(hex, sizeof(hex), "%zx\r\n", n);
-    out += hex;
-    out.append(body.substr(pos, n));
-    out += "\r\n";
+    const int len = std::snprintf(hex, sizeof(hex), "%zx\r\n", n);
+    out->append(hex, static_cast<size_t>(len));
+    out->append(body.substr(pos, n));
+    out->append("\r\n");
     pos += n;
   }
-  out += "0\r\n\r\n";
-  return out;
+  out->append("0\r\n\r\n");
 }
 
 std::string SerializeResponse(const Response& response) {
-  std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
-                    std::string(StatusReason(response.status)) + "\r\n";
+  constexpr size_t kChunkBytes = 16 * 1024;
+  // Head, then the body framed straight into the same buffer: each chunk
+  // frame adds at most 20 bytes (hex size + two CRLFs).
+  const size_t frames = response.chunked
+                            ? response.body.size() / kChunkBytes + 1
+                            : 0;
+  std::string out;
+  out.reserve(256 + response.body.size() + frames * 20);
+  out += "HTTP/1.1 ";
+  out += std::to_string(response.status);
+  out += ' ';
+  out += StatusReason(response.status);
+  out += "\r\n";
   if (!response.content_type.empty()) {
-    out += "Content-Type: " + response.content_type + "\r\n";
+    out += "Content-Type: ";
+    out += response.content_type;
+    out += "\r\n";
   }
   for (const auto& [name, value] : response.headers) {
-    out += name + ": " + value + "\r\n";
+    out += name;
+    out += ": ";
+    out += value;
+    out += "\r\n";
   }
   if (response.close) out += "Connection: close\r\n";
   if (response.chunked) {
     out += "Transfer-Encoding: chunked\r\n\r\n";
-    out += ChunkBody(response.body, 16 * 1024);
+    ChunkBody(response.body, kChunkBytes, &out);
   } else {
-    out += "Content-Length: " + std::to_string(response.body.size()) +
-           "\r\n\r\n";
+    out += "Content-Length: ";
+    out += std::to_string(response.body.size());
+    out += "\r\n\r\n";
     out += response.body;
   }
   return out;

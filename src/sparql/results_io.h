@@ -2,6 +2,12 @@
 // Dictionary) in the interchange formats downstream tools expect —
 // SPARQL-style TSV/CSV and the W3C "SPARQL 1.1 Query Results JSON" layout.
 //
+// Every cell renders from the canonical bytes the dictionary stores
+// (Dictionary::AppendCanonical), never from a re-parsed Term: TSV copies
+// them as they are, CSV and JSON slice the value, language tag and datatype
+// out of them in place (TermView). Only a literal holding an escape is
+// unescaped.
+//
 // Unbound cells (kInvalidId, produced by OPTIONAL padding and UNION
 // schema fill) serialize as empty TSV/CSV fields and absent JSON
 // bindings; aggregate counts carried as value-tagged ids (rdf/triple.h)

@@ -653,7 +653,7 @@ TEST(BudgetTest, OperatorChargeTotalsArePinned) {
       {"scan", [&] { ScanPattern(triples, p, nullptr); }, 65536},
       {"distinct", [&] { Distinct(wide); }, 16384},
       {"order by", [&] { OrderBy(wide, {{"b", false}}, dict, nullptr); },
-       53776},
+       63776},
       {"group count",
        [&] {
          GroupCount(wide, {"a"}, {count_star, count_distinct_b}, nullptr);

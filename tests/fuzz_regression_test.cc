@@ -1,5 +1,6 @@
 // Replays the checked-in fuzzer regression corpus through the same entry
-// points the fuzz targets exercise (parse, and round-trip when accepted).
+// points the fuzz targets exercise (parse, and round-trip when accepted;
+// for N-Triples also result rendering against the reference writer).
 // Inputs under tests/data/fuzz_regressions/ came from fuzz runs — corpus
 // samples plus any past crashers — so this is the always-on, plain-ctest
 // guard that once-found parser bugs stay fixed even in builds that never
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "rdf/ntriples.h"
+#include "reference_results.h"
 #include "server/http.h"
 #include "sparql/lexer.h"
 #include "sparql/parser.h"
@@ -50,6 +52,7 @@ TEST(FuzzRegressionTest, NTriplesCorpusReplays) {
     std::string text = ReadFile(f);
     auto parsed = ParseNTriplesToVector(text);  // must not crash
     if (!parsed.ok()) continue;
+    Dictionary dict;
     for (const TermTriple& t : parsed.value()) {
       // Same round-trip invariant the fuzz target enforces.
       std::string line = t.s.Canonical() + " " + t.p.Canonical() + " " +
@@ -58,6 +61,11 @@ TEST(FuzzRegressionTest, NTriplesCorpusReplays) {
       ASSERT_TRUE(again.ok()) << "round-trip reparse failed: " << line;
       ASSERT_EQ(again.value().size(), 1u);
       EXPECT_TRUE(again.value()[0] == t) << "round-trip changed: " << line;
+      // Same rendering invariant too: WriteResults over the interned
+      // statement matches the term-based reference writer.
+      BindingTable row({"s", "p", "o"});
+      row.AppendRow({dict.Intern(t.s), dict.Intern(t.p), dict.Intern(t.o)});
+      EXPECT_EQ(testref::DiffAgainstReference(row, dict), "") << line;
     }
   }
 }

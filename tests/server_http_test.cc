@@ -298,7 +298,10 @@ TEST(ResponseTest, ContentLengthFraming) {
 
 TEST(ResponseTest, ChunkedFramingRoundTrips) {
   std::string body(40000, 'x');
-  std::string framed = ChunkBody(body, 16 * 1024);
+  std::string framed = "head";
+  ChunkBody(body, 16 * 1024, &framed);
+  ASSERT_EQ(framed.substr(0, 4), "head");  // appends, keeping what was there
+  framed.erase(0, 4);
   // Decode the chunked framing back and compare.
   std::string decoded;
   size_t pos = 0;
@@ -315,6 +318,16 @@ TEST(ResponseTest, ChunkedFramingRoundTrips) {
   }
   EXPECT_EQ(decoded, body);
   EXPECT_EQ(framed.substr(framed.size() - 4), "\r\n\r\n");
+
+  // A chunked response frames its body with the same primitive, right
+  // after the blank line that ends the head.
+  Response resp;
+  resp.content_type = "text/tab-separated-values";
+  resp.body = body;
+  resp.chunked = true;
+  const std::string wire = SerializeResponse(resp);
+  EXPECT_NE(wire.find("Transfer-Encoding: chunked\r\n"), std::string::npos);
+  EXPECT_EQ(wire.substr(wire.find("\r\n\r\n") + 4), framed);
 }
 
 TEST(ResponseTest, ErrorResponsesCarryCloseAndRetryAfterSurvives) {

@@ -105,6 +105,46 @@ inline Dataset RandomDataset(uint32_t num_nodes, uint32_t num_predicates,
   return d;
 }
 
+/// One term of every shape the result writers and ORDER BY keys handle:
+/// IRIs the dictionary splits at '/' or '#' or keeps whole, blank nodes,
+/// plain, language-tagged and datatyped literals (numeric and not), every
+/// N-Triples escape plus an unknown one, control bytes and non-ASCII UTF-8.
+inline std::vector<Term> TermShapes() {
+  const std::string xsd = "http://www.w3.org/2001/XMLSchema#";
+  return {
+      Term::Iri("http://x.org/a/b"),             // split at '/'
+      Term::Iri("http://x.org/onto#Class"),      // split at '#'
+      Term::Iri("urn:isbn:0451450523"),          // no '/' or '#': unsplit
+      Term::Iri("http://x.org/dir/"),            // ends at its split point
+      Term::Iri("http://x.org/q\"uote\\back"),  // JSON-escaped bytes
+      Term::Iri("http://x.org/caf\xC3\xA9"),
+      Term::Blank("b0"),
+      Term::Blank("node-1.x"),
+      Term::Literal(""),
+      Term::Literal("plain value"),
+      Term::Literal("needs,\"quoting\"\r\n"),
+      Term::Literal("tab\there back\\slash"),
+      Term::Literal("unknown \\q escape"),  // a backslash before 'q'
+      Term::Literal("trailing backslash\\"),
+      Term::Literal("ctl \x01\x1f\x7f end"),
+      Term::Literal("\xE6\x97\xA5\xE6\x9C\xAC h\xC3\xA9llo"),
+      Term::Literal("hallo", "", "de"),
+      Term::Literal("colour", "", "en-GB"),
+      Term::Literal("3", "", "en"),
+      Term::Literal("both", xsd + "string", "fr"),  // the tag wins
+      Term::Literal("2", xsd + "integer"),
+      Term::Literal("10", xsd + "integer"),
+      Term::Literal("05", xsd + "integer"),
+      Term::Literal("5", xsd + "integer"),
+      Term::Literal("-1.5", xsd + "decimal"),
+      Term::Literal("1e3", xsd + "double"),
+      Term::Literal("abc", xsd + "integer"),  // numeric type, bad lexical
+      Term::Literal("7", "http://x.org/dt#t"),  // non-numeric datatype
+      Term::Literal("2024-01-01", xsd + "date"),
+      Term::Literal("say \"hi\"\n", xsd + "string"),
+  };
+}
+
 /// Sorted multiset of rows projected on the query's effective projection —
 /// canonical form for cross-engine comparison.
 inline std::vector<std::vector<TermId>> Canonical(
