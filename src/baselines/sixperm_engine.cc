@@ -46,7 +46,7 @@ AccessPath SixPermEngine::MakeAccessPath(const IdPattern& p) const {
   AccessPath path;
   path.estimated_rows = range.size();
   path.materialize = [&table, range, p](ExecStats* stats, QueryContext* ctx) {
-    AccountRangePages(range, stats);
+    AccountSimulatedPages({&range, 1}, stats);
     return ScanPattern(table.slice(range), p, stats, ctx);
   };
   return path;

@@ -40,7 +40,7 @@ AccessPath VpEngine::MakeAccessPath(const IdPattern& p) const {
           chunk.by_object.EqualRange(Permutation::kOps, p.o, p.p, kInvalidId);
       path.estimated_rows = range.size();
       path.materialize = [&chunk, range, p](ExecStats* stats, QueryContext* ctx) {
-        AccountRangePages(range, stats);
+        AccountSimulatedPages({&range, 1}, stats);
         return ScanPattern(chunk.by_object.slice(range), p, stats, ctx);
       };
       return path;
@@ -52,7 +52,7 @@ AccessPath VpEngine::MakeAccessPath(const IdPattern& p) const {
             : RowRange{0, chunk.by_subject.size()};
     path.estimated_rows = range.size();
     path.materialize = [&chunk, range, p](ExecStats* stats, QueryContext* ctx) {
-      AccountRangePages(range, stats);
+      AccountSimulatedPages({&range, 1}, stats);
       return ScanPattern(chunk.by_subject.slice(range), p, stats, ctx);
     };
     return path;
@@ -87,7 +87,7 @@ AccessPath VpEngine::MakeAccessPath(const IdPattern& p) const {
     BindingTable out = ScanPattern({}, p, stats);
     for (const auto& [table, range] : pieces) {
       if (ctx != nullptr) ctx->CheckStop();
-      AccountRangePages(range, stats);
+      AccountSimulatedPages({&range, 1}, stats);
       BindingTable part = ScanPattern(table->slice(range), p, stats, ctx);
       for (size_t r = 0; r < part.num_rows(); ++r) {
         out.AppendRow(part.row(r));

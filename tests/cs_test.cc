@@ -111,7 +111,7 @@ class CsIndexFig1Test : public CsFig1Test {
 };
 
 TEST_F(CsIndexFig1Test, RangesPartitionTheSpoTable) {
-  EXPECT_EQ(index_.spo().size(), 20u);
+  EXPECT_EQ(index_.spo().num_rows(), 20u);
   uint64_t covered = 0;
   std::set<std::pair<uint64_t, uint64_t>> seen;
   for (const CharacteristicSet& cs : index_.sets()) {
@@ -126,7 +126,8 @@ TEST_F(CsIndexFig1Test, RangesPartitionTheSpoTable) {
 
 TEST_F(CsIndexFig1Test, RangeRowsCarryOnlyThatCs) {
   for (const CharacteristicSet& cs : index_.sets()) {
-    for (const Triple& t : index_.spo().slice(index_.RangeOf(cs.id))) {
+    for (const Triple& t :
+         testutil::RowsOf(index_.spo(), index_.RangeOf(cs.id))) {
       EXPECT_EQ(index_.CsOfSubject(t.s), std::optional<CsId>(cs.id));
     }
   }
@@ -167,15 +168,17 @@ TEST_F(CsIndexFig1Test, DistinctSubjectCounts) {
 }
 
 TEST_F(CsIndexFig1Test, SerializeRoundTrip) {
+  // The persisted form: index metadata plus the separately stored table.
   std::string buf;
-  index_.SerializeTo(&buf);
+  index_.SerializeMetaTo(&buf);
   size_t pos = 0;
-  auto back = CsIndex::Deserialize(buf, &pos);
+  auto back = CsIndex::DeserializeMeta(buf, &pos);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(pos, buf.size());
+  ASSERT_TRUE(back.value().AttachSpo(testutil::CopyOf(index_.spo())).ok());
   const CsIndex& idx = back.value();
   EXPECT_EQ(idx.num_sets(), 5u);
-  EXPECT_EQ(idx.spo().size(), 20u);
+  EXPECT_EQ(idx.spo().num_rows(), 20u);
   EXPECT_EQ(idx.CsOfSubject(Id("Jack")), index_.CsOfSubject(Id("Jack")));
   for (const CharacteristicSet& cs : index_.sets()) {
     EXPECT_EQ(idx.RangeOf(cs.id), index_.RangeOf(cs.id));
@@ -255,7 +258,7 @@ TEST(CsExtractorTest, EmptyInput) {
   EXPECT_TRUE(ext.sets.empty());
   EXPECT_TRUE(ext.triples.empty());
   CsIndex idx = CsIndex::Build(ext);
-  EXPECT_EQ(idx.spo().size(), 0u);
+  EXPECT_EQ(idx.spo().num_rows(), 0u);
   EXPECT_TRUE(idx.MatchSupersets(Bitmap()).empty());
 }
 

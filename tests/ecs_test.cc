@@ -243,7 +243,7 @@ class EcsIndexFig1Test : public EcsFig1Test {
 };
 
 TEST_F(EcsIndexFig1Test, RangesPartitionThePsoTable) {
-  EXPECT_EQ(index_.pso().size(), 5u);
+  EXPECT_EQ(index_.pso().num_rows(), 5u);
   uint64_t covered = 0;
   for (const auto& e : index_.sets()) covered += index_.RangeOf(e.id).size();
   EXPECT_EQ(covered, 5u);
@@ -255,7 +255,7 @@ TEST_F(EcsIndexFig1Test, PropertyPointersLocatePredicates) {
   EXPECT_FALSE(index_.HasProperty(e1, Id("name")));
   RowRange r = index_.PropertyRange(e1, Id("worksFor"));
   EXPECT_EQ(r.size(), 2u);
-  for (const Triple& t : index_.pso().slice(r)) {
+  for (const Triple& t : testutil::RowsOf(index_.pso(), r)) {
     EXPECT_EQ(t.p, Id("worksFor"));
   }
 }
@@ -264,7 +264,7 @@ TEST_F(EcsIndexFig1Test, HierarchyStorageOrderGroupsFamilies) {
   EcsHierarchy h = EcsHierarchy::Build(ecs_.sets, cs_.sets);
   EcsIndex ordered = EcsIndex::Build(ecs_, h.StorageRank());
   // Same content, permuted partitions.
-  EXPECT_EQ(ordered.pso().size(), 5u);
+  EXPECT_EQ(ordered.pso().num_rows(), 5u);
   EcsId e1 = EcsOf("John", "RadioCom");
   EcsId e2 = EcsOf("Jack", "RadioCom");
   RowRange r1 = ordered.RangeOf(e1);
@@ -275,15 +275,17 @@ TEST_F(EcsIndexFig1Test, HierarchyStorageOrderGroupsFamilies) {
 }
 
 TEST_F(EcsIndexFig1Test, SerializeRoundTrip) {
+  // The persisted form: index metadata plus the separately stored table.
   std::string buf;
-  index_.SerializeTo(&buf);
+  index_.SerializeMetaTo(&buf);
   size_t pos = 0;
-  auto back = EcsIndex::Deserialize(buf, &pos);
+  auto back = EcsIndex::DeserializeMeta(buf, &pos);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(pos, buf.size());
+  ASSERT_TRUE(back.value().AttachPso(testutil::CopyOf(index_.pso())).ok());
   const EcsIndex& idx = back.value();
   EXPECT_EQ(idx.num_sets(), index_.num_sets());
-  EXPECT_EQ(idx.pso().size(), index_.pso().size());
+  EXPECT_EQ(idx.pso().num_rows(), index_.pso().num_rows());
   for (const auto& e : index_.sets()) {
     EXPECT_EQ(idx.RangeOf(e.id), index_.RangeOf(e.id));
     EXPECT_EQ(idx.Properties(e.id), index_.Properties(e.id));
@@ -390,7 +392,7 @@ TEST(EcsExtractorTest, EmptyInput) {
   EXPECT_TRUE(ecs.sets.empty());
   EXPECT_TRUE(ecs.triples.empty());
   EcsIndex idx = EcsIndex::Build(ecs, {});
-  EXPECT_EQ(idx.pso().size(), 0u);
+  EXPECT_EQ(idx.pso().num_rows(), 0u);
 }
 
 TEST(EcsExtractorTest, SelfLoopTripleFormsEcs) {

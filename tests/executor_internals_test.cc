@@ -21,29 +21,31 @@ namespace {
 // ------------------------------------------------------- page accounting
 
 TEST(PageAccountingTest, CountsPagesOfRanges) {
+  using Ranges = std::vector<RowRange>;
   constexpr uint64_t kPageRows = 4096 / sizeof(Triple);  // 341
   ExecStats stats;
   // One range inside a single page.
-  Executor::AccountPageReads({RowRange{0, 10}}, &stats);
+  AccountSimulatedPages(Ranges{RowRange{0, 10}}, &stats);
   EXPECT_EQ(stats.pages_read, 1u);
   // A range spanning three pages.
   stats = ExecStats{};
-  Executor::AccountPageReads({RowRange{0, kPageRows * 2 + 1}}, &stats);
+  AccountSimulatedPages(Ranges{RowRange{0, kPageRows * 2 + 1}}, &stats);
   EXPECT_EQ(stats.pages_read, 3u);
   // Two ranges on the same page: the shared page counts once.
   stats = ExecStats{};
-  Executor::AccountPageReads({RowRange{0, 5}, RowRange{10, 20}}, &stats);
+  AccountSimulatedPages(Ranges{RowRange{0, 5}, RowRange{10, 20}}, &stats);
   EXPECT_EQ(stats.pages_read, 1u);
   // Two ranges on different pages.
   stats = ExecStats{};
-  Executor::AccountPageReads(
-      {RowRange{0, 5}, RowRange{kPageRows * 4, kPageRows * 4 + 5}}, &stats);
+  AccountSimulatedPages(
+      Ranges{RowRange{0, 5}, RowRange{kPageRows * 4, kPageRows * 4 + 5}},
+      &stats);
   EXPECT_EQ(stats.pages_read, 2u);
   // Empty ranges are ignored; null stats tolerated.
   stats = ExecStats{};
-  Executor::AccountPageReads({RowRange{}}, &stats);
+  AccountSimulatedPages(Ranges{RowRange{}}, &stats);
   EXPECT_EQ(stats.pages_read, 0u);
-  Executor::AccountPageReads({RowRange{0, 5}}, nullptr);
+  AccountSimulatedPages(Ranges{RowRange{0, 5}}, nullptr);
 }
 
 // ------------------------------------------------- merge-scan equivalence

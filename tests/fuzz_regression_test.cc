@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/database.h"
 #include "rdf/ntriples.h"
 #include "reference_results.h"
 #include "server/http.h"
@@ -77,13 +78,28 @@ TEST(FuzzRegressionTest, DbFileCorpusReplays) {
     SCOPED_TRACE(f.filename().string());
     // The same contract fuzz_dbfile enforces: hostile bytes may be
     // rejected with a Status but must never crash, in strict Open and in
-    // salvage mode alike.
+    // salvage mode alike; an accepted file also opens (or is rejected) as a
+    // database in both storage modes and residencies, and an opened one
+    // answers a query that scans every CS and ECS partition.
     DbFileReader reader;
     if (reader.Open(f.string()).ok()) {
       for (const std::string& name : reader.SectionNames()) {
         (void)reader.GetSection(name);
       }
       (void)reader.GetSection("no-such-section");
+      for (const bool paged : {false, true}) {
+        EngineOptions options;
+        options.use_paged_storage = paged;
+        for (const bool mapped : {false, true}) {
+          auto db = mapped ? Database::OpenMapped(f.string(), options)
+                           : Database::Open(f.string(), options);
+          if (!db.ok()) continue;
+          auto r = db.value().ExecuteSparql(
+              "SELECT * WHERE { { ?s ?p ?o } UNION "
+              "{ ?a ?q ?b . ?b ?r ?c } }");
+          EXPECT_TRUE(r.ok()) << r.status().ToString();
+        }
+      }
     }
     DbFileReader salvage;
     DbFileReader::SalvageReport report;
@@ -123,7 +139,7 @@ TEST(FuzzRegressionTest, PageCorpusReplays) {
     // cleanly on a page/directory mismatch).
     auto table = PagedTripleTable::FromSerialized(bytes, /*copy=*/true);
     if (table.ok()) {
-      const PagedTripleTable& t = table.value();
+      const PagedTripleTable& t = *table.value();
       uint64_t walked = 0;
       Status walk = t.ForEachPage(
           [&walked](std::span<const Triple> chunk, uint64_t first_row) {

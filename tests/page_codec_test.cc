@@ -227,14 +227,14 @@ TEST(PagedTableStrict, SerializedRoundTripAndRowAt) {
   std::vector<Triple> rows = GenSortedRuns(&rng, 5000);
   std::sort(rows.begin(), rows.end(),
             [](const Triple& a, const Triple& b) { return a.Key() < b.Key(); });
-  PagedTripleTable built = PagedTripleTable::Build(rows, 256);
-  EXPECT_EQ(built.num_rows(), rows.size());
-  EXPECT_GT(built.num_pages(), 4u);
+  auto built = PagedTripleTable::Build(rows, 256);
+  EXPECT_EQ(built->num_rows(), rows.size());
+  EXPECT_GT(built->num_pages(), 4u);
 
   auto reopened =
-      PagedTripleTable::FromSerialized(built.serialized(), /*copy=*/true);
+      PagedTripleTable::FromSerialized(built->serialized(), /*copy=*/true);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  const PagedTripleTable& table = reopened.value();
+  const PagedTripleTable& table = *reopened.value();
   ASSERT_EQ(table.num_rows(), rows.size());
   for (size_t i = 0; i < rows.size(); i += 97) {
     Triple t;
@@ -256,8 +256,8 @@ TEST(PagedTableStrict, SerializedRoundTripAndRowAt) {
 TEST(PagedTableStrict, DirectoryTruncationsRejected) {
   std::mt19937_64 rng(6);
   std::vector<Triple> rows = GenSortedRuns(&rng, 800);
-  PagedTripleTable built = PagedTripleTable::Build(rows, 256);
-  std::string blob(built.serialized());
+  auto built = PagedTripleTable::Build(rows, 256);
+  std::string blob(built->serialized());
   // Every strict prefix must fail directory parsing or page decode — walk a
   // sample of lengths (every byte is slow at this size).
   for (size_t len = 0; len < blob.size(); len += 13) {
@@ -273,12 +273,12 @@ TEST(PagedTableStrict, DirectoryTruncationsRejected) {
 }
 
 TEST(PagedTableStrict, EmptyTableRoundTrips) {
-  PagedTripleTable built = PagedTripleTable::Build({}, 256);
-  EXPECT_EQ(built.num_rows(), 0u);
-  EXPECT_EQ(built.num_pages(), 0u);
-  auto reopened = PagedTripleTable::FromSerialized(built.serialized(), true);
+  auto built = PagedTripleTable::Build({}, 256);
+  EXPECT_EQ(built->num_rows(), 0u);
+  EXPECT_EQ(built->num_pages(), 0u);
+  auto reopened = PagedTripleTable::FromSerialized(built->serialized(), true);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ(reopened.value().num_rows(), 0u);
+  EXPECT_EQ(reopened.value()->num_rows(), 0u);
 }
 
 }  // namespace

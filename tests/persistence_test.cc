@@ -4,8 +4,13 @@
 
 #include <cstdio>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
+#include "conformance_catalog.h"
 #include "datagen/lubm_generator.h"
+#include "datagen/sp2b_generator.h"
 #include "engine/database.h"
 #include "engine/update_store.h"
 #include "storage/db_file.h"
@@ -360,6 +365,232 @@ TEST_F(PersistenceTest, SalvageQuarantinesOnlyTheDamagedSection) {
   EXPECT_EQ(damaged.status().code(), StatusCode::kCorruption);
   EXPECT_FALSE(salvage.HasSection("damaged"));
   EXPECT_TRUE(salvage.HasSection("healthy"));
+}
+
+// ------------------------------------------------- cross-mode persistence
+//
+// Each triple table is saved as one image: raw rows when resident, pages
+// when paged. An open adopts the image that matches the requested mode and
+// converts the other one.
+
+EngineOptions ModeOptions(bool paged) {
+  EngineOptions o;
+  o.parallelism = 1;
+  o.use_paged_storage = paged;
+  o.frame_pool_bytes = 16 << 10;
+  o.page_size_bytes = 256;  // many pages even on a small dataset
+  return o;
+}
+
+Dataset Sp2bData() {
+  Sp2bConfig config;
+  config.num_years = 3;
+  config.journals_per_year = 1;
+  config.articles_per_journal = 4;
+  config.proceedings_per_year = 1;
+  config.inproceedings_per_proc = 3;
+  config.num_persons = 12;
+  config.seed = 42;
+  Dataset data;
+  GenerateSp2b(config, &data);
+  return data;
+}
+
+// Columns, row count and row-major cells of every conformance-catalog
+// answer, in catalog order.
+using Answer =
+    std::tuple<std::vector<std::string>, size_t, std::vector<TermId>>;
+
+std::vector<Answer> CatalogAnswers(const Database& db) {
+  std::vector<Answer> out;
+  for (const testutil::ConfQuery& cq : testutil::ConformanceCatalog()) {
+    auto r = db.ExecuteSparql(cq.sparql);
+    EXPECT_TRUE(r.ok()) << cq.name << ": " << r.status().ToString();
+    if (!r.ok()) {
+      out.emplace_back();
+      continue;
+    }
+    const BindingTable& t = r.value().table;
+    out.emplace_back(t.vars(), t.num_rows(), t.flat());
+  }
+  return out;
+}
+
+Result<Database> OpenIn(const std::string& path, bool paged, bool mapped) {
+  return mapped ? Database::OpenMapped(path, ModeOptions(paged))
+                : Database::Open(path, ModeOptions(paged));
+}
+
+using Sections = std::vector<std::pair<std::string, std::string>>;
+
+// Every section of the db file at `path`, in file order.
+Sections ReadSections(const std::string& path) {
+  DbFileReader reader;
+  EXPECT_TRUE(reader.Open(path).ok());
+  Sections out;
+  for (const std::string& name : reader.SectionNames()) {
+    out.emplace_back(name, std::string(reader.GetSection(name).value()));
+  }
+  return out;
+}
+
+void WriteSections(const std::string& path, const Sections& sections) {
+  DbFileWriter writer;
+  ASSERT_TRUE(writer.Open(path).ok());
+  for (const auto& [name, payload] : sections) {
+    ASSERT_TRUE(writer.AddSection(name, payload).ok()) << name;
+  }
+  ASSERT_TRUE(writer.Finish().ok());
+}
+
+TEST_F(PersistenceTest, CrossModeOpensAnswerLikeResident) {
+  const Dataset data = Sp2bData();
+  auto resident = Database::Build(data, ModeOptions(false));
+  auto paged = Database::Build(data, ModeOptions(true));
+  ASSERT_TRUE(resident.ok() && paged.ok());
+  const std::vector<Answer> expect = CatalogAnswers(resident.value());
+  ASSERT_EQ(expect.size(), testutil::ConformanceCatalog().size());
+
+  for (const bool save_paged : {false, true}) {
+    const Database& saver = save_paged ? paged.value() : resident.value();
+    ASSERT_TRUE(saver.Save(path_).ok());
+    for (const bool open_paged : {false, true}) {
+      for (const bool mapped : {false, true}) {
+        SCOPED_TRACE(std::string("saved ") +
+                     (save_paged ? "paged" : "resident") + ", opened " +
+                     (open_paged ? "paged" : "resident") +
+                     (mapped ? " mapped" : ""));
+        auto opened = OpenIn(path_, open_paged, mapped);
+        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+        const Database& db = opened.value();
+        EXPECT_EQ(db.is_paged(), open_paged);
+        // The mapping is kept only when an image was adopted, not
+        // converted.
+        EXPECT_EQ(db.is_mapped(), mapped && save_paged == open_paged);
+        const Database& same_mode =
+            open_paged ? paged.value() : resident.value();
+        EXPECT_EQ(db.StorageBytes(), same_mode.StorageBytes());
+        EXPECT_EQ(CatalogAnswers(db), expect);
+      }
+    }
+  }
+}
+
+TEST_F(PersistenceTest, PagedSaveWritesOnlyPages) {
+  auto paged = Database::Build(Sp2bData(), ModeOptions(true));
+  ASSERT_TRUE(paged.ok());
+  ASSERT_TRUE(paged.value().Save(path_).ok());
+  DbFileReader reader;
+  ASSERT_TRUE(reader.Open(path_).ok());
+  EXPECT_TRUE(reader.HasSection("spo_pages"));
+  EXPECT_TRUE(reader.HasSection("pso_pages"));
+  for (const std::string& name : reader.SectionNames()) {
+    EXPECT_EQ(name.find("_rows"), std::string::npos) << name;
+  }
+}
+
+TEST_F(PersistenceTest, PagedSaveIsByteStable) {
+  auto built = Database::Build(Sp2bData(), ModeOptions(true));
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE(built.value().SaveAtomic(path_).ok());
+  const std::string path2 = path_ + ".resave";
+  for (const bool mapped : {false, true}) {
+    auto opened = OpenIn(path_, /*paged=*/true, mapped);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ASSERT_TRUE(opened.value().Save(path2).ok());
+    std::string bytes1, bytes2;
+    ASSERT_TRUE(ReadFileToString(path_, &bytes1).ok());
+    ASSERT_TRUE(ReadFileToString(path2, &bytes2).ok());
+    EXPECT_EQ(bytes1, bytes2) << (mapped ? "OpenMapped" : "Open");
+  }
+  std::remove(path2.c_str());
+}
+
+// Files written before a paged save dropped the raw rows carry both images
+// of each table (`<t>_rows` followed by `<t>_pages`). Both modes still open
+// them, each adopting the image that matches.
+TEST_F(PersistenceTest, ParentPagedLayoutOpensInBothModes) {
+  const Dataset data = Sp2bData();
+  auto resident = Database::Build(data, ModeOptions(false));
+  auto paged = Database::Build(data, ModeOptions(true));
+  ASSERT_TRUE(resident.ok() && paged.ok());
+  const std::string rows_path = path_ + ".rows";
+  const std::string pages_path = path_ + ".pages";
+  ASSERT_TRUE(resident.value().Save(rows_path).ok());
+  ASSERT_TRUE(paged.value().Save(pages_path).ok());
+  const Sections rows = ReadSections(rows_path);
+  Sections parent;
+  for (const auto& section : ReadSections(pages_path)) {
+    const size_t at = section.first.find("_pages");
+    if (at != std::string::npos) {
+      const std::string rows_name = section.first.substr(0, at) + "_rows";
+      for (const auto& r : rows) {
+        if (r.first == rows_name) parent.push_back(r);
+      }
+    }
+    parent.push_back(section);
+  }
+  WriteSections(path_, parent);
+  std::remove(rows_path.c_str());
+  std::remove(pages_path.c_str());
+
+  const std::vector<Answer> expect = CatalogAnswers(resident.value());
+  for (const bool open_paged : {false, true}) {
+    for (const bool mapped : {false, true}) {
+      SCOPED_TRACE(std::string(open_paged ? "paged" : "resident") +
+                   (mapped ? " mapped" : ""));
+      auto opened = OpenIn(path_, open_paged, mapped);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      EXPECT_EQ(opened.value().is_mapped(), mapped);
+      const Database& same_mode =
+          open_paged ? paged.value() : resident.value();
+      EXPECT_EQ(opened.value().StorageBytes(), same_mode.StorageBytes());
+      EXPECT_EQ(CatalogAnswers(opened.value()), expect);
+    }
+  }
+}
+
+// A table whose row count disagrees with its index's partitions (here cut
+// to half its rows under a valid section checksum) would let a partition
+// range address rows past the table. Every open rejects it.
+TEST_F(PersistenceTest, OpenRejectsTableShorterThanItsIndex) {
+  LubmConfig cfg;
+  cfg.num_universities = 1;
+  const Dataset data = GenerateLubmDataset(cfg);
+  for (const bool save_paged : {false, true}) {
+    auto built = Database::Build(data, ModeOptions(save_paged));
+    ASSERT_TRUE(built.ok());
+    const std::string full = path_ + ".full";
+    ASSERT_TRUE(built.value().Save(full).ok());
+    for (const bool spo : {true, false}) {
+      const TripleSource& source = spo ? built.value().cs_index().spo()
+                                       : built.value().ecs_index().pso();
+      const std::string table = spo ? "spo" : "pso";
+      const std::vector<Triple> half =
+          testutil::RowsOf(source, RowRange{0, source.num_rows() / 2});
+      Sections sections = ReadSections(full);
+      for (auto& [name, payload] : sections) {
+        if (name == table + "_rows") {
+          payload.assign(reinterpret_cast<const char*>(half.data()),
+                         half.size() * sizeof(Triple));
+        } else if (name == table + "_pages") {
+          payload = PagedTripleTable::Build(half, 256)->serialized();
+        }
+      }
+      WriteSections(path_, sections);
+      for (const bool open_paged : {false, true}) {
+        for (const bool mapped : {false, true}) {
+          auto opened = OpenIn(path_, open_paged, mapped);
+          ASSERT_FALSE(opened.ok())
+              << table << (save_paged ? " paged save" : " resident save")
+              << (open_paged ? ", paged" : ", resident")
+              << (mapped ? " OpenMapped" : " Open");
+          EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+        }
+      }
+    }
+    std::remove(full.c_str());
+  }
 }
 
 }  // namespace
