@@ -1,7 +1,10 @@
 #include "cs/cs_extractor.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <tuple>
+#include <utility>
 
 #include "util/trace.h"
 
@@ -33,6 +36,43 @@ Result<Bitmap> DeserializeBitmap(std::string_view data, size_t* pos) {
   *pos = p - data.data();
   return Bitmap::FromWords(std::move(words), num_bits);
 }
+
+namespace {
+
+/// Stable in-place reorder of (S, P, O)-sorted `rows` into (CS, P) buckets
+/// — (CS, P, S, O) order. Each row gets its destination slot (`Slot` wide
+/// enough for the row count), then the permutation is applied cycle by
+/// cycle, so the scratch space is one slot per row, not a second table.
+template <typename Slot>
+void PermuteByCsAndProperty(size_t num_sets, LoadTripleVec* rows) {
+  // Per CS: (predicate, row count, then the bucket's next slot), ascending
+  // by predicate.
+  std::vector<std::vector<std::pair<TermId, Slot>>> buckets(num_sets);
+  auto bucket_of = [&buckets](const LoadTriple& t) -> Slot& {
+    auto& b = buckets[t.cs.value()];
+    auto it = std::lower_bound(
+        b.begin(), b.end(), t.p,
+        [](const auto& entry, TermId p) { return entry.first < p; });
+    if (it == b.end() || it->first != t.p) it = b.insert(it, {t.p, 0});
+    return it->second;
+  };
+  for (const LoadTriple& t : *rows) ++bucket_of(t);
+  Slot next = 0;
+  for (auto& b : buckets) {
+    for (auto& entry : b) next += std::exchange(entry.second, next);
+  }
+  std::vector<Slot> dest(rows->size());
+  for (size_t i = 0; i < rows->size(); ++i) dest[i] = bucket_of((*rows)[i])++;
+  for (size_t i = 0; i < rows->size(); ++i) {
+    while (dest[i] != i) {
+      const Slot j = dest[i];
+      std::swap((*rows)[i], (*rows)[j]);
+      std::swap(dest[i], dest[j]);
+    }
+  }
+}
+
+}  // namespace
 
 CsExtraction ExtractCharacteristicSets(LoadTripleVec triples,
                                        ThreadPool* pool) {
@@ -93,15 +133,18 @@ CsExtraction ExtractCharacteristicSets(LoadTripleVec triples,
     out.subject_cs.emplace(triples[group_start[g]].s, cs);
   }
 
-  // Line 15: re-sort by CS with subject as the secondary key — the
-  // persistent SPO ordering ("sort the triples by their CS, maintaining the
-  // subject as the secondary sort key", Sec. III.B).
-  ParallelSort(pool, &triples,
-               [](const LoadTriple& a, const LoadTriple& b) {
-                 return std::tuple(a.cs, a.s, a.p, a.o) <
-                        std::tuple(b.cs, b.s, b.p, b.o);
-               });
-
+  // Line 15: re-sort by CS — the persistent CS-table order. Sec. III.B
+  // keeps the subject as the secondary key; here the property comes
+  // second, so each partition is a run per property in (S, O) order and a
+  // star reads only the runs its patterns name (DESIGN.md §4). The
+  // subject order Sec. IV.D merges on holds within every run. The rows
+  // are in (S, P, O) order already, so numbering them stably by (CS, P)
+  // bucket and permuting in place yields (CS, P, S, O) in linear time.
+  if (triples.size() <= std::numeric_limits<uint32_t>::max()) {
+    PermuteByCsAndProperty<uint32_t>(out.sets.size(), &triples);
+  } else {
+    PermuteByCsAndProperty<uint64_t>(out.sets.size(), &triples);
+  }
   out.triples = std::move(triples);
   return out;
 }

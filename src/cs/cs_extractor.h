@@ -27,8 +27,8 @@ struct CsExtraction {
   /// ECS extraction, and for bound-subject query lookups).
   std::unordered_map<TermId, CsId> subject_cs;
 
-  /// The input triples with column 4 assigned, sorted by (CS, S, P, O) —
-  /// i.e. the exact row order of the persistent SPO table.
+  /// The input triples with column 4 assigned, sorted by (CS, P, S, O) —
+  /// i.e. the exact row order of the persistent CS table.
   LoadTripleVec triples;
 
   /// Dataset property ordering shared by all bitmaps.

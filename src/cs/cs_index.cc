@@ -12,36 +12,25 @@ CsIndex CsIndex::Build(const CsExtraction& extraction,
   CsIndex idx;
   idx.properties_ = extraction.properties;
   idx.sets_ = extraction.sets;
-  idx.distinct_subjects_.assign(idx.sets_.size(), 0);
 
+  // Rows arrive sorted by (CS, P, S, O): one range per CS, and inside it
+  // one run per predicate, counted in predicate order.
   idx.predicate_counts_.assign(idx.sets_.size(), {});
   std::vector<Triple> spo;
   spo.reserve(extraction.triples.size());
   std::vector<std::pair<CsId, RowRange>> ranges;
-  CsId current = kNoCs;
-  TermId last_subject = kInvalidId;
   for (size_t i = 0; i < extraction.triples.size(); ++i) {
     const LoadTriple& t = extraction.triples[i];
     spo.push_back(Triple{t.s, t.p, t.o});
-    if (t.cs != current) {
-      if (current != kNoCs) ranges.back().second.end = i;
+    if (ranges.empty() || ranges.back().first != t.cs) {
+      if (!ranges.empty()) ranges.back().second.end = i;
       ranges.emplace_back(t.cs, RowRange{i, i});
-      current = t.cs;
-      last_subject = kInvalidId;
-    }
-    if (t.s != last_subject) {
-      ++idx.distinct_subjects_[t.cs.value()];
-      last_subject = t.s;
     }
     auto& counts = idx.predicate_counts_[t.cs.value()];
-    auto it = std::lower_bound(
-        counts.begin(), counts.end(), t.p,
-        [](const auto& entry, TermId p) { return entry.first < p; });
-    if (it != counts.end() && it->first == t.p) {
-      ++it->second;
-    } else {
-      counts.insert(it, {t.p, 1});
+    if (counts.empty() || counts.back().first != t.p) {
+      counts.emplace_back(t.p, 0);
     }
+    ++counts.back().second;
   }
   if (!ranges.empty()) ranges.back().second.end = extraction.triples.size();
   idx.spo_ = TripleSource::Make(std::move(spo), storage);
@@ -51,6 +40,10 @@ CsIndex CsIndex::Build(const CsExtraction& extraction,
   std::vector<std::pair<TermId, CsId>> subject_entries(
       extraction.subject_cs.begin(), extraction.subject_cs.end());
   std::sort(subject_entries.begin(), subject_entries.end());
+  idx.distinct_subjects_.assign(idx.sets_.size(), 0);
+  for (const auto& entry : subject_entries) {
+    ++idx.distinct_subjects_[entry.second.value()];
+  }
   idx.subject_cs_ = BPlusTree<TermId, CsId>::BulkLoad(subject_entries);
   return idx;
 }
@@ -83,10 +76,20 @@ std::vector<CsId> CsIndex::MatchSupersets(const Bitmap& query) const {
   return out;
 }
 
-RowRange CsIndex::SubjectRange(CsId cs, TermId subject) const {
-  RowRange range = RangeOf(cs);
-  if (range.empty()) return RowRange{};
-  return spo_.EqualRangeBySubject(range, subject);
+RowRange CsIndex::PropertyRange(CsId cs, TermId p) const {
+  if (cs.value() >= predicate_counts_.size()) return RowRange{};
+  uint64_t begin = RangeOf(cs).begin;
+  for (const auto& [pred, count] : predicate_counts_[cs.value()]) {
+    if (pred == p) return RowRange{begin, begin + count};
+    begin += count;
+  }
+  return RowRange{};
+}
+
+RowRange CsIndex::SubjectRange(CsId cs, TermId p, TermId subject) const {
+  RowRange run = PropertyRange(cs, p);
+  if (run.empty()) return RowRange{};
+  return spo_.EqualRangeBySubject(run, subject);
 }
 
 Status CsIndex::AttachSpo(TripleSource spo) {
@@ -168,6 +171,20 @@ Result<CsIndex> CsIndex::DeserializeMeta(std::string_view data,
   auto ranges = BPlusTree<CsId, RowRange>::Deserialize(data, pos);
   if (!ranges.ok()) return ranges.status();
   idx.ranges_ = std::move(ranges).ValueOrDie();
+  // The runs tile each partition: their lengths add up to its range.
+  for (uint64_t i = 0; i < num_sets; ++i) {
+    const uint64_t size = idx.RangeOf(CsId(static_cast<uint32_t>(i))).size();
+    uint64_t total = 0;
+    for (const auto& entry : idx.predicate_counts_[i]) {
+      if (entry.second > size - total) {
+        return Status::Corruption("cs index: runs overflow their partition");
+      }
+      total += entry.second;
+    }
+    if (total != size) {
+      return Status::Corruption("cs index: runs do not tile their partition");
+    }
+  }
 
   auto subject_cs = BPlusTree<TermId, CsId>::Deserialize(data, pos);
   if (!subject_cs.ok()) return subject_cs.status();

@@ -68,7 +68,10 @@ class Database : public QueryEngine {
   /// Each table is stored in the mode `options` asks for, whichever mode
   /// saved the file: a table image of the other mode (raw rows vs pages)
   /// is converted while opening (TripleSource::Open). Corruption when a
-  /// table's row count does not match its index's partitions.
+  /// table's row count does not match its index's partitions. Unsupported
+  /// when the file's `format` section is missing (a format 1 file, whose
+  /// CS partitions are subject-major) or names another version: such a
+  /// file must be rebuilt.
   static Result<Database> Open(const std::string& path,
                                EngineOptions options = {});
 
@@ -91,9 +94,9 @@ class Database : public QueryEngine {
   /// exposes the real pages_read / pages_evicted counters.
   const BufferManager* buffer_manager() const { return buffer_.get(); }
 
-  /// Streams every triple in SPO order through the SPO table's
-  /// TripleSource::ForEachChunk (paged tables decode page by page, so
-  /// residency stays bounded and the frame pool is not involved). Fails
+  /// Streams every triple in CS-table order, (CS, P, S, O), through the
+  /// table's TripleSource::ForEachChunk (paged tables decode page by page,
+  /// so residency stays bounded and the frame pool is not involved). Fails
   /// with the page's Status on a decode error. Backs ExportNTriples and
   /// update-store recovery.
   Status ForEachTriple(const std::function<void(const Triple&)>& fn) const;
@@ -132,7 +135,8 @@ class Database : public QueryEngine {
   const BuildInfo& build_info() const { return info_; }
 
   /// Serializes the full triple contents back to N-Triples text (one
-  /// statement per line, SPO order). Round-trips through AddNTriples.
+  /// statement per line, in ForEachTriple's (CS, P, S, O) order).
+  /// Round-trips through AddNTriples.
   Result<std::string> ExportNTriples() const;
 
   /// Renders a result table back to term strings (row-major), resolving

@@ -90,7 +90,7 @@ class PagedTripleTable {
   /// True when the blob is borrowed (FromSerialized with copy=false).
   bool borrowed() const { return borrowed_; }
 
-  /// Registers this table with `buffer` for pinned-page access. Scan()
+  /// Registers this table with `buffer` for pinned-page access. PinChunk()
   /// requires an attached buffer.
   void AttachBuffer(std::shared_ptr<BufferManager> buffer);
 
@@ -98,12 +98,11 @@ class PagedTripleTable {
   /// bytes (restart-point seek; no buffer, no frame allocation).
   Status RowAt(uint64_t row, Triple* out) const;
 
-  /// Calls `fn(chunk, first_row)` for each maximal same-page run of rows
-  /// in `range`, pinning one page at a time. Chunks arrive in row order.
-  /// Throws PagedIoError on a load/decode failure.
-  void Scan(const RowRange& range,
-            const std::function<void(std::span<const Triple>, uint64_t)>& fn)
-      const;
+  /// Pins the page holding `row` (inside `range`) into `pin` and returns
+  /// the rows of `range` on that page from `row` on. Throws PagedIoError on
+  /// a load/decode failure.
+  std::span<const Triple> PinChunk(const RowRange& range, uint64_t row,
+                                   PinnedPage* pin) const;
 
   /// Sequentially decodes every page (no buffer needed) — the streaming
   /// full-table read behind TripleSource::ForEachChunk and the pages-to-rows
@@ -112,18 +111,26 @@ class PagedTripleTable {
       const std::function<void(std::span<const Triple>, uint64_t)>& fn) const;
 
   /// Binary-searches the rows of `within` (which must be sorted by
-  /// subject, as CS partitions are) for the subrange with subject ==
-  /// `subject`. Throws PagedIoError on a decode failure.
+  /// subject, as the property runs of a CS partition are) for the subrange
+  /// with subject == `subject`: over pages by their first row, then inside
+  /// one page parsed once. Every page read is checksum-verified. Throws
+  /// PagedIoError on a decode failure.
   RowRange EqualRangeBySubject(const RowRange& within, TermId subject) const;
 
  private:
+  /// The first row of `within` whose subject fails `pred` (`pred` holds
+  /// on a prefix of the subject-sorted rows).
+  uint64_t PartitionPointBySubject(
+      const RowRange& within, const std::function<bool(TermId)>& pred) const;
+  /// Verifies and parses one page image, cross-checked against the
+  /// directory's row count. Failpoint site "page.decode" fires inside.
+  Status ParseCheckedPage(uint32_t page, pagecodec::PageView* view) const;
   /// The page containing `row` (row < num_rows()).
   uint32_t PageOf(uint64_t row) const;
   /// Serialized bytes of one page image.
   std::string_view PageImage(uint32_t page) const;
-  /// Buffer-manager loader: parse + strictly decode one page, cross-checked
-  /// against the directory's row count. Failpoint site "page.decode" fires
-  /// inside ParsePage.
+  /// Buffer-manager loader: ParseCheckedPage, then strictly decode every
+  /// row.
   Status LoadPage(uint32_t page, std::vector<Triple>* rows) const;
 
   std::string owned_;       // backing bytes when not borrowed

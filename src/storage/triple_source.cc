@@ -79,12 +79,31 @@ Status TripleSource::Save(DbFileWriter* file, const std::string& name) const {
   return file->AddSection(name + "_rows", {bytes, rows_.size_bytes()});
 }
 
-void TripleSource::Scan(const RowRange& r, const ChunkFn& fn) const {
-  if (r.empty()) return;
-  if (paged_ != nullptr) {
-    paged_->Scan(r, fn);
+TripleSource::Reader::Reader(const TripleSource& source,
+                             const RowRange& range)
+    : source_(&source), range_(range), row_(range.begin) {
+  Load();
+}
+
+void TripleSource::Reader::Next() {
+  row_ += chunk_.size();
+  Load();
+}
+
+void TripleSource::Reader::Load() {
+  pin_ = PinnedPage();
+  if (row_ >= range_.end) {
+    chunk_ = {};
+  } else if (source_->paged_ != nullptr) {
+    chunk_ = source_->paged_->PinChunk(range_, row_, &pin_);
   } else {
-    fn(rows_.subspan(r.begin, r.size()), r.begin);
+    chunk_ = source_->rows_.subspan(row_, range_.end - row_);
+  }
+}
+
+void TripleSource::Scan(const RowRange& r, const ChunkFn& fn) const {
+  for (Reader reader(*this, r); !reader.chunk().empty(); reader.Next()) {
+    fn(reader.chunk(), reader.first_row());
   }
 }
 

@@ -83,14 +83,39 @@ class TripleSource {
     return paged_ != nullptr ? paged_->CompressedBytes() : rows_.size_bytes();
   }
 
-  /// Calls `fn` for the rows of `r` in row order: the whole slice as one
-  /// chunk when resident, one pinned page at a time when paged. Throws
-  /// PagedIoError on a page load failure.
+  /// A forward reader over the rows of one range, a chunk at a time: the
+  /// whole slice when resident, one pinned page when paged (the pin is held
+  /// until the reader moves on or dies). Several readers may be open on
+  /// one table at once.
+  class Reader {
+   public:
+    /// Positions at the first chunk of `range`. Throws PagedIoError on a
+    /// page load failure.
+    Reader(const TripleSource& source, const RowRange& range);
+    /// The current chunk; empty once the range is read.
+    std::span<const Triple> chunk() const { return chunk_; }
+    /// Row index of the chunk's first row.
+    uint64_t first_row() const { return row_; }
+    /// Moves to the next chunk. Throws PagedIoError on a page load failure.
+    void Next();
+
+   private:
+    void Load();
+
+    const TripleSource* source_;
+    RowRange range_;
+    uint64_t row_;
+    std::span<const Triple> chunk_;
+    PinnedPage pin_;
+  };
+
+  /// Calls `fn` for the rows of `r` in row order, chunk by chunk as a
+  /// Reader reads them. Throws PagedIoError on a page load failure.
   void Scan(const RowRange& r, const ChunkFn& fn) const;
 
-  /// Binary-searches the rows of `within` (sorted by subject, as a CS
-  /// partition is) for the subrange whose subject is `subject`. Throws
-  /// PagedIoError on a decode failure.
+  /// Binary-searches the rows of `within` (sorted by subject, as a
+  /// property run of a CS partition is) for the subrange whose subject is
+  /// `subject`. Throws PagedIoError on a decode failure.
   RowRange EqualRangeBySubject(const RowRange& within, TermId subject) const;
 
   /// Streams the whole table in row order without the buffer manager (a

@@ -79,12 +79,12 @@ TEST_F(CsFig1Test, ObjectsWithoutEdgesHaveNoCs) {
   EXPECT_EQ(extraction_.subject_cs.count(Id("Registrar")), 0u);
 }
 
-TEST_F(CsFig1Test, TriplesSortedByCsThenSubject) {
+TEST_F(CsFig1Test, TriplesSortedByCsThenPropertyThenSubject) {
   const LoadTripleVec& t = extraction_.triples;
   ASSERT_EQ(t.size(), 20u);
   for (size_t i = 1; i < t.size(); ++i) {
-    EXPECT_LE(std::tuple(t[i - 1].cs, t[i - 1].s),
-              std::tuple(t[i].cs, t[i].s));
+    EXPECT_LT(std::tuple(t[i - 1].cs, t[i - 1].p, t[i - 1].s, t[i - 1].o),
+              std::tuple(t[i].cs, t[i].p, t[i].s, t[i].o));
   }
   // Every triple carries the CS of its subject.
   for (const LoadTriple& lt : t) {
@@ -134,11 +134,50 @@ TEST_F(CsIndexFig1Test, RangeRowsCarryOnlyThatCs) {
 }
 
 TEST_F(CsIndexFig1Test, SubjectRangeFindsStars) {
+  // One seek per property run: together they find Jack's five triples.
   CsId s2 = CsOf("Jack");
-  RowRange r = index_.SubjectRange(s2, Id("Jack"));
-  EXPECT_EQ(r.size(), 5u);  // Jack's five triples
-  RowRange none = index_.SubjectRange(s2, Id("John"));  // John is in S1
-  EXPECT_TRUE(none.empty());
+  uint64_t found = 0;
+  for (const auto& [p, count] : index_.PredicateCounts(s2)) {
+    RowRange r = index_.SubjectRange(s2, p, Id("Jack"));
+    EXPECT_EQ(r.size(), count);  // Jack is the CS's only subject
+    for (const Triple& t : testutil::RowsOf(index_.spo(), r)) {
+      EXPECT_EQ(t.s, Id("Jack"));
+      EXPECT_EQ(t.p, p);
+    }
+    found += r.size();
+    // John is in S1, so no run of S2 holds him.
+    EXPECT_TRUE(index_.SubjectRange(s2, p, Id("John")).empty());
+  }
+  EXPECT_EQ(found, 5u);
+  EXPECT_TRUE(index_.SubjectRange(s2, Id("position"), Id("Jack")).empty());
+}
+
+TEST_F(CsIndexFig1Test, PropertyRunsTileEachPartition) {
+  for (const CharacteristicSet& cs : index_.sets()) {
+    const RowRange partition = index_.RangeOf(cs.id);
+    uint64_t next = partition.begin;
+    TermId last_p;
+    for (const auto& [p, count] : index_.PredicateCounts(cs.id)) {
+      EXPECT_GT(p, last_p);  // runs in predicate order
+      last_p = p;
+      const RowRange run = index_.PropertyRange(cs.id, p);
+      EXPECT_EQ(run.begin, next);  // no gap, no overlap
+      EXPECT_EQ(run.size(), count);
+      next = run.end;
+      const std::vector<Triple> rows = testutil::RowsOf(index_.spo(), run);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].p, p);
+        if (i > 0) {
+          EXPECT_LT(std::tuple(rows[i - 1].s, rows[i - 1].o),
+                    std::tuple(rows[i].s, rows[i].o));
+        }
+      }
+    }
+    EXPECT_EQ(next, partition.end);
+  }
+  // A predicate outside the CS has no run.
+  EXPECT_TRUE(
+      index_.PropertyRange(CsOf("John"), Id("marriedTo")).empty());
 }
 
 TEST_F(CsIndexFig1Test, MatchSupersetsImplementsStarMatching) {

@@ -1,16 +1,20 @@
 // White-box tests of executor internals: scan-range coalescing, page-read
 // accounting, the star merge-scan applicability rules and its equivalence
-// to the general join pipeline, and hierarchy-layout locality effects.
+// to the general join pipeline, star row order against the subject-major
+// oracle, and hierarchy-layout locality effects.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
 
 #include "datagen/lubm_generator.h"
+#include "datagen/sp2b_generator.h"
 #include "engine/database.h"
 #include "engine/executor.h"
+#include "reference_star.h"
 #include "sparql/parser.h"
 #include "test_util.h"
 #include "workloads/workloads.h"
@@ -112,6 +116,115 @@ TEST(StarMergeTest, FastPathMatchesGeneralPipelineResults) {
   ASSERT_TRUE(takes_only.ok());
   EXPECT_LE(general.value().table.num_rows(),
             takes_only.value().table.num_rows());
+}
+
+// ------------------------------------------------ star row-order oracle
+
+// One-star queries around partition `cs`: with p1 its last property and p2
+// its first, a bound object and a bound subject taken from p1's run. They
+// cover bound and unbound predicates, a bound object, a repeated variable
+// (the hash pipeline) and a bound subject (per-run seeks).
+std::vector<std::pair<std::string, SelectQuery>> StarShapes(
+    const Database& db, CsId cs) {
+  const CsIndex& index = db.cs_index();
+  const auto& counts = index.PredicateCounts(cs);
+  const TermId p1 = counts.back().first;
+  const TermId p2 = counts.front().first;
+  const std::vector<Triple> run =
+      testutil::RowsOf(index.spo(), index.PropertyRange(cs, p1));
+  const Triple& mid = run[run.size() / 2];
+  auto bound = [&db](TermId id) {
+    return PatternTerm::Bound(db.dict().GetTerm(id).value());
+  };
+  auto var = [](const std::string& name) { return PatternTerm::Variable(name); };
+  auto query = [](std::vector<TriplePattern> patterns) {
+    SelectQuery q;
+    q.patterns = std::move(patterns);
+    return q;
+  };
+  const PatternTerm x = var("x");
+  const PatternTerm s = bound(mid.s);
+  return {
+      {"bound p", query({{x, bound(p1), var("a")}, {x, bound(p2), var("b")}})},
+      {"unbound p", query({{x, bound(p1), var("a")}, {x, var("p"), var("v")}})},
+      {"bound o", query({{x, bound(p1), bound(mid.o)}, {x, bound(p2), var("b")}})},
+      {"repeated variable",
+       query({{x, bound(p1), var("a")}, {x, var("q"), var("a")}})},
+      {"bound subject",
+       query({{s, bound(p1), var("a")}, {s, bound(p2), var("b")}})},
+      {"bound subject, unbound p",
+       query({{s, bound(p1), var("a")}, {s, var("p"), var("v")}})},
+  };
+}
+
+// Every star shape answers exactly as the subject-major scan did, row
+// order included, reading no more rows — resident and paged (pages small
+// enough that runs and subject groups straddle them), serial and parallel.
+void ExpectStarsMatchSubjectMajorOracle(const Dataset& data) {
+  for (const bool paged : {false, true}) {
+    for (const uint32_t parallelism : {1u, 4u}) {
+      SCOPED_TRACE(std::string(paged ? "paged" : "resident") + ", parallelism " +
+                   std::to_string(parallelism));
+      EngineOptions options;
+      options.use_paged_storage = paged;
+      options.page_size_bytes = 256;
+      options.frame_pool_bytes = 64 << 10;
+      options.parallelism = parallelism;
+      auto db = Database::Build(data, options);
+      ASSERT_TRUE(db.ok());
+      const CsIndex& index = db.value().cs_index();
+      // The largest multi-property partition and the widest one.
+      std::optional<CsId> largest;
+      std::optional<CsId> widest;
+      for (const CharacteristicSet& cs : index.sets()) {
+        if (index.PredicateCounts(cs.id).size() < 2) continue;
+        if (!largest || index.RangeOf(cs.id).size() >
+                            index.RangeOf(*largest).size()) {
+          largest = cs.id;
+        }
+        if (!widest || index.PredicateCounts(cs.id).size() >
+                           index.PredicateCounts(*widest).size()) {
+          widest = cs.id;
+        }
+      }
+      ASSERT_TRUE(largest.has_value());
+      for (CsId cs : {*largest, *widest}) {
+        for (const auto& [shape, q] : StarShapes(db.value(), cs)) {
+          SCOPED_TRACE("cs " + std::to_string(cs.value()) + ", " + shape);
+          uint64_t reference_scanned = 0;
+          const BindingTable reference =
+              testref::ReferenceStar(db.value(), q, &reference_scanned);
+          auto r = db.value().Execute(q);
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+          const BindingTable& got = r.value().table;
+          const BindingTable want = Project(reference, got.vars());
+          EXPECT_GT(want.num_rows(), 0u);
+          EXPECT_EQ(got.num_rows(), want.num_rows());
+          EXPECT_EQ(got.flat(), want.flat());
+          EXPECT_LE(r.value().stats.rows_scanned, reference_scanned);
+        }
+      }
+    }
+  }
+}
+
+TEST(StarRunOrderTest, Fig1MatchesSubjectMajorOracle) {
+  ExpectStarsMatchSubjectMajorOracle(testutil::Fig1Dataset());
+}
+
+TEST(StarRunOrderTest, LubmMatchesSubjectMajorOracle) {
+  LubmConfig cfg;
+  cfg.num_universities = 1;
+  ExpectStarsMatchSubjectMajorOracle(GenerateLubmDataset(cfg));
+}
+
+TEST(StarRunOrderTest, Sp2bMatchesSubjectMajorOracle) {
+  Sp2bConfig cfg;
+  cfg.num_years = 4;
+  cfg.articles_per_journal = 12;
+  cfg.inproceedings_per_proc = 10;
+  cfg.num_persons = 120;
+  ExpectStarsMatchSubjectMajorOracle(GenerateSp2bDataset(cfg));
 }
 
 // ------------------------------------------------------ hierarchy layout
@@ -244,6 +357,30 @@ TEST(ExplainTest, ReportsEmptyPlans) {
   auto p2 = db.value().Explain(q2.value());
   ASSERT_TRUE(p2.ok());
   EXPECT_NE(p2.value().find("EMPTY"), std::string::npos);
+}
+
+TEST(ExplainTest, StarLinesCountThePropertyRunsRead) {
+  // ?x's star matches S1 (4 properties) and S2 (5): named properties read
+  // 2 runs of each, an unbound predicate reads them all.
+  auto db = Database::Build(testutil::Fig1Dataset());
+  ASSERT_TRUE(db.ok());
+  auto explain = [&db](const std::string& where) {
+    auto q = ParseSparql("PREFIX ex: <http://example.org/> SELECT * WHERE { " +
+                         where + " }");
+    EXPECT_TRUE(q.ok());
+    auto plan = db.value().Explain(q.value());
+    EXPECT_TRUE(plan.ok());
+    return plan.value();
+  };
+  EXPECT_NE(explain("?x ex:name ?n . ?x ex:origin ?o")
+                .find("2 pattern(s) [merge scan, 4 of 9 runs]"),
+            std::string::npos);
+  EXPECT_NE(explain("?x ex:origin \"UK\" . ?x ?p ?v")
+                .find("[merge scan, 9 of 9 runs]"),
+            std::string::npos);
+  EXPECT_NE(explain("?x ex:name ?v . ?x ex:origin ?v")
+                .find("[hash pipeline, 4 of 9 runs]"),
+            std::string::npos);
 }
 
 TEST(ExplainTest, JoinOrderMatchesPlannerChoice) {

@@ -21,9 +21,11 @@
 #include <string>
 #include <vector>
 
+#include "datagen/lubm_generator.h"
 #include "datagen/sp2b_generator.h"
 #include "engine/database.h"
 #include "conformance_catalog.h"
+#include "test_util.h"
 #include "sparql/parser.h"
 #include "util/cancellation.h"
 #include "util/failpoint.h"
@@ -282,6 +284,47 @@ TEST(PagedExecTest, SaveOpenOpenMappedRoundTrip) {
   EXPECT_EQ(SequenceRows(r2.value().table, proj), expect_rows);
 
   std::remove(path.c_str());
+}
+
+// Paged subject seeks (pages searched by their first row, then one parsed
+// page) find exactly the resident binary search's rows, for every subject
+// of every property run of LUBM-1 and for subjects just outside a run.
+TEST(PagedExecTest, SubjectSeeksMatchResidentOnEveryRun) {
+  LubmConfig cfg;
+  cfg.num_universities = 1;
+  const Dataset data = GenerateLubmDataset(cfg);
+  EngineOptions opt;
+  auto resident = Database::Build(data, opt);
+  opt.use_paged_storage = true;
+  opt.page_size_bytes = 512;
+  auto paged = Database::Build(data, opt);
+  ASSERT_TRUE(resident.ok() && paged.ok());
+  const CsIndex& index = resident.value().cs_index();
+  const TripleSource& rows = index.spo();
+  const TripleSource& pages = paged.value().cs_index().spo();
+  uint64_t seeks = 0;
+  for (const CharacteristicSet& cs : index.sets()) {
+    for (const auto& [p, count] : index.PredicateCounts(cs.id)) {
+      const RowRange run = index.PropertyRange(cs.id, p);
+      std::vector<TermId> subjects;
+      for (const Triple& t : testutil::RowsOf(rows, run)) {
+        if (subjects.empty() || subjects.back() != t.s) {
+          subjects.push_back(t.s);
+        }
+      }
+      const TermId lo(subjects.front().value() - 1);
+      const TermId hi(subjects.back().value() + 1);
+      subjects.push_back(lo);
+      subjects.push_back(hi);
+      for (TermId s : subjects) {
+        const RowRange want = rows.EqualRangeBySubject(run, s);
+        EXPECT_EQ(pages.EqualRangeBySubject(run, s), want)
+            << "cs " << cs.id.value() << " subject " << s.value();
+        ++seeks;
+      }
+    }
+  }
+  EXPECT_GT(seeks, 1000u);
 }
 
 // Chaos cycle over the paged read path: with page.read I/O errors and

@@ -16,8 +16,8 @@
 //
 //   chaos_run --write-dbfile-corpus=DIR
 //     Regenerates the seed corpus for fuzz_dbfile (valid resident- and
-//     paged-saved, truncated, corrupted, short-table, zero-length-section
-//     and degenerate db files).
+//     paged-saved, truncated, corrupted, short-table, format-1,
+//     zero-length-section and degenerate db files).
 //
 //   chaos_run --overload [--clients=N] [--queries=M] [--max-concurrent=K]
 //             [--seed=S] [--failpoints=SPEC]
@@ -156,10 +156,12 @@ int WriteDbfileCorpus(const std::string& dir) {
     std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
     return 1;
   }
-  // Saves the data in one storage mode and returns the file's bytes; with
-  // `cut_spo`, rewrites the file with its spo_rows section cut to half the
-  // rows under valid checksums (a table shorter than its CS ranges).
-  auto saved_bytes = [&data, &dir](bool paged, bool cut_spo,
+  // Saves the data in one storage mode and returns the file's bytes,
+  // rewritten section by section under valid checksums: kCutSpo cuts the
+  // spo_rows section to half the rows (a table shorter than its CS
+  // ranges); kDropFormat drops the format section (a format 1 file).
+  enum class Edit { kNone, kCutSpo, kDropFormat };
+  auto saved_bytes = [&data, &dir](bool paged, Edit edit,
                                    std::string* out) -> Status {
     EngineOptions options;
     options.use_paged_storage = paged;
@@ -167,15 +169,16 @@ int WriteDbfileCorpus(const std::string& dir) {
     const std::string tmp = dir + "/.seed_build.tmp";
     const std::string cut = dir + "/.seed_cut.tmp";
     Status st = db.Save(tmp);
-    if (st.ok() && cut_spo) {
+    if (st.ok() && edit != Edit::kNone) {
       DbFileReader reader;
       DbFileWriter writer;
       st = reader.Open(tmp);
       if (st.ok()) st = writer.Open(cut);
       for (const std::string& name : reader.SectionNames()) {
         if (!st.ok()) break;
+        if (edit == Edit::kDropFormat && name == "format") continue;
         std::string_view payload = reader.GetSection(name).value();
-        if (name == "spo_rows") {
+        if (edit == Edit::kCutSpo && name == "spo_rows") {
           payload = payload.substr(
               0, payload.size() / sizeof(Triple) / 2 * sizeof(Triple));
         }
@@ -183,15 +186,16 @@ int WriteDbfileCorpus(const std::string& dir) {
       }
       if (st.ok()) st = writer.Finish();
     }
-    if (st.ok()) st = ReadFileToString(cut_spo ? cut : tmp, out);
+    if (st.ok()) st = ReadFileToString(edit != Edit::kNone ? cut : tmp, out);
     std::remove(tmp.c_str());
     std::remove(cut.c_str());
     return st;
   };
-  std::string db_bytes, paged_bytes, short_bytes;
-  Status built = saved_bytes(/*paged=*/false, /*cut_spo=*/false, &db_bytes);
-  if (built.ok()) built = saved_bytes(true, false, &paged_bytes);
-  if (built.ok()) built = saved_bytes(false, true, &short_bytes);
+  std::string db_bytes, paged_bytes, short_bytes, format1_bytes;
+  Status built = saved_bytes(/*paged=*/false, Edit::kNone, &db_bytes);
+  if (built.ok()) built = saved_bytes(true, Edit::kNone, &paged_bytes);
+  if (built.ok()) built = saved_bytes(false, Edit::kCutSpo, &short_bytes);
+  if (built.ok()) built = saved_bytes(false, Edit::kDropFormat, &format1_bytes);
   if (!built.ok()) {
     std::fprintf(stderr, "%s\n", built.ToString().c_str());
     return 1;
@@ -222,6 +226,9 @@ int WriteDbfileCorpus(const std::string& dir) {
   if (st.ok()) st = WriteCorpusFile(dir, "seed_db_paged.bin", paged_bytes);
   if (st.ok()) {
     st = WriteCorpusFile(dir, "seed_db_short_table.bin", short_bytes);
+  }
+  if (st.ok()) {
+    st = WriteCorpusFile(dir, "seed_db_format1.bin", format1_bytes);
   }
   if (st.ok()) st = WriteCorpusFile(dir, "seed_sections.bin", section_bytes);
   if (st.ok()) st = WriteCorpusFile(dir, "seed_db_truncated.bin", truncated);
