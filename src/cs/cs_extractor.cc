@@ -85,10 +85,13 @@ CsExtraction ExtractCharacteristicSets(LoadTripleVec triples,
   for (const LoadTriple& t : triples) out.properties.Register(t.p);
 
   // Line 1: sort by subject (full key keeps the order deterministic).
-  ParallelSort(pool, &triples,
-               [](const LoadTriple& a, const LoadTriple& b) {
-                 return std::tuple(a.s, a.p, a.o) < std::tuple(b.s, b.p, b.o);
-               });
+  // Database::Build hands over rows that are sorted already.
+  auto spo_less = [](const LoadTriple& a, const LoadTriple& b) {
+    return std::tuple(a.s, a.p, a.o) < std::tuple(b.s, b.p, b.o);
+  };
+  if (!std::is_sorted(triples.begin(), triples.end(), spo_less)) {
+    ParallelSort(pool, &triples, spo_less);
+  }
 
   // Lines 2-14: locate the subject groups, aggregate each group's property
   // bitmap (parallel over groups), then mint CS ids serially in

@@ -1,11 +1,11 @@
 // ECS extraction — Algorithm 2 of the paper.
 //
 // Two implementations are provided:
-//  * ExtractExtendedCharacteristicSets — the production path. One scan over
-//    the CS-partitioned triples: each triple's object CS is resolved through
-//    the subject→CS map built by Algorithm 1 and the (subjectCS, objectCS)
-//    pair is interned. This computes exactly the ECS partitioning Algorithm 2
-//    defines, in O(|D|) after CS extraction.
+//  * ExtractExtendedCharacteristicSets — the production path. Linear scans
+//    over the CS-partitioned triples: each triple's object CS is resolved
+//    through the subject→CS map built by Algorithm 1 and the (subjectCS,
+//    objectCS) pair is interned. This computes exactly the ECS partitioning
+//    Algorithm 2 defines, in O(|D|) after CS extraction.
 //  * ExtractExtendedCharacteristicSetsPairwise — the literal Algorithm 2
 //    formulation (iterate all CS pairs, object-subject hash-join their triple
 //    chunks). Kept as an executable specification: tests assert both paths
@@ -37,11 +37,12 @@ struct EcsExtraction {
   std::vector<std::vector<EcsId>> links;
 };
 
-/// Production path: single scan using the subject→CS map. With a pool the
-/// discovery/tagging passes run chunked over the workers and the PSO
-/// partition sort runs in parallel; ECS ids are minted from the sorted
-/// (subjectCS, objectCS) pair set, so the output is bit-identical to the
-/// serial (null pool) path.
+/// Production path: linear scans using the subject→CS map. The PSO order
+/// comes from a stable counting scatter by ECS id over the (CS, P, S, O)
+/// input, not from a comparison sort. With a pool the discovery, tagging
+/// and scatter passes run chunked over the workers; ECS ids are minted from
+/// the sorted (subjectCS, objectCS) pair set, so the output is
+/// bit-identical to the serial (null pool) path.
 EcsExtraction ExtractExtendedCharacteristicSets(const CsExtraction& cs,
                                                 ThreadPool* pool = nullptr);
 

@@ -8,8 +8,13 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "cs/cs_extractor.h"
+#include "datagen/geonames_generator.h"
+#include "datagen/lubm_generator.h"
+#include "datagen/sp2b_generator.h"
 #include "ecs/ecs_extractor.h"
 #include "ecs/ecs_graph.h"
 #include "ecs/ecs_hierarchy.h"
@@ -383,8 +388,95 @@ TEST_P(EcsPropertyTest, HierarchyIsAcyclicAndEdgesAreImmediate) {
   }
 }
 
+// Per-ECS statistics recounted with ordered sets.
+std::vector<EcsStats> OracleStatistics(const EcsExtraction& ecs) {
+  const size_t n = ecs.sets.size();
+  std::vector<std::set<TermId>> subjects(n), objects(n), properties(n);
+  std::vector<EcsStats> out(n);
+  for (const EcsTriple& t : ecs.triples) {
+    const uint32_t e = t.ecs.value();
+    ++out[e].num_triples;
+    subjects[e].insert(t.s);
+    objects[e].insert(t.o);
+    properties[e].insert(t.p);
+  }
+  for (size_t e = 0; e < n; ++e) {
+    out[e].distinct_subjects = subjects[e].size();
+    out[e].distinct_objects = objects[e].size();
+    out[e].distinct_properties = properties[e].size();
+  }
+  return out;
+}
+
+void ExpectStatisticsMatchOracle(const EcsExtraction& ecs) {
+  const EcsStatistics stats = EcsStatistics::Build(ecs);
+  const std::vector<EcsStats> oracle = OracleStatistics(ecs);
+  ASSERT_EQ(stats.size(), oracle.size());
+  for (uint32_t e = 0; e < oracle.size(); ++e) {
+    EXPECT_EQ(stats.Of(EcsId(e)), oracle[e]) << "ECS " << e;
+  }
+}
+
+TEST_P(EcsPropertyTest, StatisticsMatchSetOracle) {
+  Dataset d = testutil::RandomDataset(60, 8, 700, 0.3, GetParam() + 3000);
+  CsExtraction cs = ExtractCharacteristicSets(ToLoadTriples(d));
+  ExpectStatisticsMatchOracle(ExtractExtendedCharacteristicSets(cs));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EcsPropertyTest,
                          ::testing::Values(101, 202, 303, 404));
+
+// ------------------------------------------ Generator-shaped datasets
+
+// The property suite above runs on uniform random graphs; these run the
+// same oracles on the shapes of the paper's datasets, large enough that a
+// 4-worker pool splits the ECS scatter into several chunks.
+Dataset ShapedDataset(const std::string& name) {
+  if (name == "lubm") {
+    LubmConfig config;
+    config.num_universities = 2;
+    return GenerateLubmDataset(config);
+  }
+  if (name == "sp2b") {
+    Sp2bConfig config;
+    config.num_years = 30;
+    config.articles_per_journal = 12;
+    config.num_persons = 200;
+    return GenerateSp2bDataset(config);
+  }
+  GeonamesConfig config;
+  config.num_features = 3000;
+  return GenerateGeonamesDataset(config);
+}
+
+class EcsShapedDataTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    cs_ = ExtractCharacteristicSets(ToLoadTriples(ShapedDataset(GetParam())));
+  }
+  CsExtraction cs_;
+};
+
+TEST_P(EcsShapedDataTest, FastPathEqualsLiteralAlgorithm2) {
+  ASSERT_GE(cs_.triples.size(), 2u * 4096u);  // several scatter chunks
+  const EcsExtraction slow = ExtractExtendedCharacteristicSetsPairwise(cs_);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "serial" : "4 workers");
+    const EcsExtraction fast = ExtractExtendedCharacteristicSets(cs_, p);
+    EXPECT_EQ(fast.sets, slow.sets);
+    EXPECT_EQ(fast.triples, slow.triples);
+    EXPECT_EQ(fast.links, slow.links);
+  }
+}
+
+TEST_P(EcsShapedDataTest, StatisticsMatchSetOracle) {
+  ExpectStatisticsMatchOracle(ExtractExtendedCharacteristicSets(cs_));
+}
+
+INSTANTIATE_TEST_SUITE_P(Generators, EcsShapedDataTest,
+                         ::testing::Values("lubm", "sp2b", "geonames"),
+                         [](const auto& name_info) { return name_info.param; });
 
 TEST(EcsExtractorTest, EmptyInput) {
   CsExtraction cs = ExtractCharacteristicSets({});

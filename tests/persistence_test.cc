@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <random>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -505,6 +508,45 @@ TEST_F(PersistenceTest, PagedSaveIsByteStable) {
     EXPECT_EQ(bytes1, bytes2) << (mapped ? "OpenMapped" : "Open");
   }
   std::remove(path2.c_str());
+}
+
+// Build skips its (S, P, O) sort, and CS extraction its subject sort, when
+// the rows arrive sorted — the update store's live set does. Rows that are
+// sorted (serial build) and rows shuffled with duplicates added (4 workers,
+// so the ECS scatter runs in several chunks) must give the identical file,
+// in both storage modes.
+TEST_F(PersistenceTest, SortedAndShuffledRowsSaveIdenticalBytes) {
+  auto key_less = [](const Triple& a, const Triple& b) {
+    return a.Key() < b.Key();
+  };
+  LubmConfig lubm;
+  lubm.num_universities = 6;  // ≈ 31k rows: ECSs span scatter chunks
+  for (const Dataset& data : {GenerateLubmDataset(lubm), Sp2bData()}) {
+    auto dict = std::make_shared<const Dictionary>(data.dict);
+    TripleVec sorted = data.triples;
+    std::sort(sorted.begin(), sorted.end(), key_less);
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    TripleVec shuffled = sorted;
+    for (size_t i = 0; i < sorted.size(); i += 7) shuffled.push_back(sorted[i]);
+    std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(11));
+    ASSERT_FALSE(std::is_sorted(shuffled.begin(), shuffled.end(), key_less));
+    for (const bool paged : {false, true}) {
+      SCOPED_TRACE(std::to_string(sorted.size()) + " rows, " +
+                   (paged ? "paged" : "resident"));
+      std::string bytes[2];
+      const TripleVec* inputs[2] = {&sorted, &shuffled};
+      for (int i = 0; i < 2; ++i) {
+        EngineOptions options = ModeOptions(paged);
+        if (i == 1) options.parallelism = 4;
+        auto built = Database::Build(dict, *inputs[i], options);
+        ASSERT_TRUE(built.ok()) << built.status().ToString();
+        EXPECT_EQ(built.value().build_info().num_triples, sorted.size());
+        ASSERT_TRUE(built.value().Save(path_).ok());
+        ASSERT_TRUE(ReadFileToString(path_, &bytes[i]).ok());
+      }
+      EXPECT_EQ(bytes[0], bytes[1]);
+    }
+  }
 }
 
 // A file may carry both images of each table (`<t>_rows` followed by
