@@ -23,28 +23,24 @@ CsIndex CsIndex::Build(const CsExtraction& extraction,
     const LoadTriple& t = extraction.triples[i];
     spo.push_back(Triple{t.s, t.p, t.o});
     if (ranges.empty() || ranges.back().first != t.cs) {
-      if (!ranges.empty()) ranges.back().second.end = i;
       ranges.emplace_back(t.cs, RowRange{i, i});
     }
+    ++ranges.back().second.end;
     auto& counts = idx.predicate_counts_[t.cs.value()];
     if (counts.empty() || counts.back().first != t.p) {
       counts.emplace_back(t.p, 0);
     }
     ++counts.back().second;
   }
-  if (!ranges.empty()) ranges.back().second.end = extraction.triples.size();
   idx.spo_ = TripleSource::Make(std::move(spo), storage);
 
   idx.ranges_ = BPlusTree<CsId, RowRange>::BulkLoad(ranges);
 
-  std::vector<std::pair<TermId, CsId>> subject_entries(
-      extraction.subject_cs.begin(), extraction.subject_cs.end());
-  std::sort(subject_entries.begin(), subject_entries.end());
   idx.distinct_subjects_.assign(idx.sets_.size(), 0);
-  for (const auto& entry : subject_entries) {
+  for (const auto& entry : extraction.subject_cs) {
     ++idx.distinct_subjects_[entry.second.value()];
   }
-  idx.subject_cs_ = BPlusTree<TermId, CsId>::BulkLoad(subject_entries);
+  idx.subject_cs_ = BPlusTree<TermId, CsId>::BulkLoad(extraction.subject_cs);
   return idx;
 }
 

@@ -2,10 +2,11 @@
 //
 // Two implementations are provided:
 //  * ExtractExtendedCharacteristicSets — the production path. Linear scans
-//    over the CS-partitioned triples: each triple's object CS is resolved
-//    through the subject→CS map built by Algorithm 1 and the (subjectCS,
-//    objectCS) pair is interned. This computes exactly the ECS partitioning
-//    Algorithm 2 defines, in O(|D|) after CS extraction.
+//    over the CS-partitioned triples with no hash or tree lookup per row:
+//    an object's CS comes from an array indexed by term id and the
+//    (subjectCS, objectCS) pair's ECS from an array indexed by object CS.
+//    This computes exactly the ECS partitioning Algorithm 2 defines, in
+//    O(|D|) after CS extraction.
 //  * ExtractExtendedCharacteristicSetsPairwise — the literal Algorithm 2
 //    formulation (iterate all CS pairs, object-subject hash-join their triple
 //    chunks). Kept as an executable specification: tests assert both paths
@@ -37,12 +38,12 @@ struct EcsExtraction {
   std::vector<std::vector<EcsId>> links;
 };
 
-/// Production path: linear scans using the subject→CS map. The PSO order
-/// comes from a stable counting scatter by ECS id over the (CS, P, S, O)
-/// input, not from a comparison sort. With a pool the discovery, tagging
-/// and scatter passes run chunked over the workers; ECS ids are minted from
-/// the sorted (subjectCS, objectCS) pair set, so the output is
-/// bit-identical to the serial (null pool) path.
+/// Production path: linear passes (discover pairs, count, scatter). The
+/// PSO order comes from a stable counting scatter by ECS id over the
+/// (CS, P, S, O) input, not from a comparison sort. With a pool each pass
+/// runs chunked over the workers; ECS ids are minted from the sorted
+/// (subjectCS, objectCS) pair set, so the output is bit-identical to the
+/// serial (null pool) path.
 EcsExtraction ExtractExtendedCharacteristicSets(const CsExtraction& cs,
                                                 ThreadPool* pool = nullptr);
 

@@ -51,9 +51,10 @@ class Database : public QueryEngine {
   /// options.use_hierarchy the PSO partitions are laid out in hierarchy
   /// pre-order (Sec. III.D), otherwise in ECS-id order.
   ///
-  /// The database shares `dict` (every id in `triples` must resolve in
-  /// it) and never mutates it; an owner that keeps interning terms must
-  /// clone first while a database still holds it (UpdatableDatabase does).
+  /// The database shares `dict` and never mutates it; an owner that keeps
+  /// interning terms must clone first while a database still holds it
+  /// (UpdatableDatabase does). Every id in `triples` must resolve in
+  /// `dict`; InvalidArgument otherwise.
   /// `triples` may hold duplicates and come in any order. Rows already in
   /// (S, P, O) order are not sorted again — the update store hands its
   /// sorted live set over as is — and exact duplicates are dropped either

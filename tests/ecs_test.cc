@@ -46,7 +46,7 @@ class EcsFig1Test : public ::testing::Test {
     EXPECT_TRUE(id.has_value()) << local;
     return id.value_or(kInvalidId);
   }
-  CsId CsOf(const std::string& local) { return cs_.subject_cs.at(Id(local)); }
+  CsId CsOf(const std::string& local) { return cs_.CsOf(Id(local)).value(); }
 
   // The ECS id for a (subjectCS, objectCS) pair, or kNoEcs.
   EcsId EcsOf(const std::string& s_local, const std::string& o_local) {
@@ -87,8 +87,8 @@ TEST_F(EcsFig1Test, PsoTableHoldsOnlyValidEcsTriples) {
 TEST_F(EcsFig1Test, TriplesAreTaggedWithTheirEcs) {
   for (const EcsTriple& t : ecs_.triples) {
     const auto& e = ecs_.sets[t.ecs.value()];
-    EXPECT_EQ(e.subject_cs, cs_.subject_cs.at(t.s));
-    EXPECT_EQ(e.object_cs, cs_.subject_cs.at(t.o));
+    EXPECT_EQ(e.subject_cs, cs_.CsOf(t.s).value());
+    EXPECT_EQ(e.object_cs, cs_.CsOf(t.o).value());
   }
 }
 
@@ -329,7 +329,7 @@ TEST_P(EcsPropertyTest, EveryValidTripleInExactlyOneEcs) {
   // Expected PSO rows: triples whose object has a CS.
   uint64_t expected = 0;
   for (const Triple& t : d.triples) {
-    if (cs.subject_cs.count(t.o)) ++expected;
+    if (cs.CsOf(t.o).has_value()) ++expected;
   }
   EXPECT_EQ(ecs.triples.size(), expected);
 
@@ -340,7 +340,7 @@ TEST_P(EcsPropertyTest, EveryValidTripleInExactlyOneEcs) {
         seen.emplace(std::make_pair(e.subject_cs, e.object_cs), e.id).second);
   }
   for (const EcsTriple& t : ecs.triples) {
-    auto key = std::make_pair(cs.subject_cs.at(t.s), cs.subject_cs.at(t.o));
+    auto key = std::make_pair(cs.CsOf(t.s).value(), cs.CsOf(t.o).value());
     EXPECT_EQ(seen.at(key), t.ecs);
   }
 

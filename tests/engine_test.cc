@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <ostream>
 
 #include "test_util.h"
@@ -187,6 +189,31 @@ TEST(EngineTest, DuplicateTriplesCollapse) {
   auto db = Database::Build(d);
   ASSERT_TRUE(db.ok());
   EXPECT_EQ(db.value().build_info().num_triples, 20u);
+}
+
+// The extraction passes size arrays by the largest term id they see, so
+// Build rejects an id the dictionary does not hold before it allocates
+// anything by it: a stray id near 2^32, the reserved id 0, and one past
+// the last term.
+TEST(EngineTest, BuildRejectsTermIdsOutsideTheDictionary) {
+  const Dataset d = Fig1Dataset();
+  auto dict = std::make_shared<const Dictionary>(d.dict);
+  const TermId past_end(static_cast<uint32_t>(d.dict.size() + 1));
+  for (const TermId stray : {TermId(0xFFFFFFF0u), kInvalidId, past_end}) {
+    for (const int column : {0, 1, 2}) {
+      SCOPED_TRACE("id " + std::to_string(stray.value()) + " in column " +
+                   std::to_string(column));
+      TripleVec triples = d.triples;
+      Triple bad = triples.front();
+      (column == 0 ? bad.s : column == 1 ? bad.p : bad.o) = stray;
+      triples.push_back(bad);
+      auto db = Database::Build(dict, triples);
+      ASSERT_FALSE(db.ok());
+      EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  auto valid = Database::Build(dict, d.triples);
+  EXPECT_TRUE(valid.ok()) << valid.status().ToString();
 }
 
 TEST(EngineTest, RenderHandlesUnboundAndRejectsDanglingIds) {
