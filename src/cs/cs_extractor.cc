@@ -136,8 +136,8 @@ CsExtraction ExtractCharacteristicSets(LoadTripleVec triples,
   size_t i = 0;
   for (uint32_t c = 0; c < out.sets.size(); ++c) {
     // A CS's last bucket now ends at the end of its partition.
-    for (const size_t end = bucket_next[first_bucket[c + 1] - 1]; i < end;
-         ++i) {
+    const size_t end = bucket_next[first_bucket[c + 1] - 1];
+    for (; i < end; ++i) {
       triples[i] = LoadTriple{staged[i].s, staged[i].p, staged[i].o, CsId(c)};
     }
   }
