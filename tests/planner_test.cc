@@ -270,9 +270,9 @@ TEST(PlanQualityGoldenTest, LubmIntermediateRowsPinned) {
     const char* query;
     uint64_t intermediate_rows;
   };
-  for (const Golden& g : {Golden{&LubmOriginalWorkload(), "Q9", 1113},
-                          Golden{&LubmModifiedWorkload(), "Q8", 1499},
-                          Golden{&LubmModifiedWorkload(), "Q12", 9701}}) {
+  for (const Golden& g : {Golden{&LubmOriginalWorkload(), "Q9", 980},
+                          Golden{&LubmModifiedWorkload(), "Q8", 1366},
+                          Golden{&LubmModifiedWorkload(), "Q12", 9273}}) {
     auto q = ParseSparql(g.workload->Get(g.query).sparql);
     ASSERT_TRUE(q.ok()) << g.workload->name << "/" << g.query;
     auto r = db.value().Execute(q.value());
