@@ -1,13 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the substrate layers: bitmap
-// subset tests, dictionary interning/lookup, B+-tree operations, triple
-// table range probes and the relational operators. Not a paper artifact —
+// subset tests, dictionary interning/lookup, triple table range probes and
+// the relational operators. Not a paper artifact —
 // these quantify the primitives every macro number is built from.
 
 #include <benchmark/benchmark.h>
 
 #include "exec/operators.h"
 #include "rdf/dictionary.h"
-#include "storage/btree.h"
 #include "storage/triple_table.h"
 #include "util/bitmap.h"
 #include "util/random.h"
@@ -61,36 +60,6 @@ void BM_DictionaryLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DictionaryLookup);
-
-void BM_BTreeInsert(benchmark::State& state) {
-  Random rng(3);
-  std::vector<uint32_t> keys;
-  for (int i = 0; i < state.range(0); ++i) {
-    keys.push_back(static_cast<uint32_t>(rng.Next()));
-  }
-  for (auto _ : state) {
-    BPlusTree<uint32_t, uint64_t> t;
-    for (uint32_t k : keys) t.Insert(k, k);
-    benchmark::DoNotOptimize(t.size());
-  }
-  state.SetItemsProcessed(state.iterations() * keys.size());
-}
-BENCHMARK(BM_BTreeInsert)->Arg(1000)->Arg(10000);
-
-void BM_BTreeBulkLoadAndFind(benchmark::State& state) {
-  std::vector<std::pair<uint32_t, uint64_t>> entries;
-  for (int i = 0; i < state.range(0); ++i) {
-    entries.emplace_back(static_cast<uint32_t>(i * 2), i);
-  }
-  auto tree = BPlusTree<uint32_t, uint64_t>::BulkLoad(entries);
-  Random rng(4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tree.Find(static_cast<uint32_t>(rng.Uniform(entries.size()) * 2)));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BTreeBulkLoadAndFind)->Arg(10000)->Arg(100000);
 
 void BM_TripleTableEqualRange(benchmark::State& state) {
   Random rng(5);

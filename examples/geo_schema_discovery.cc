@@ -25,6 +25,9 @@ int main() {
   const Database& db = db_r.value();
   const CsIndex& cs = db.cs_index();
   const EcsIndex& ecs = db.ecs_index();
+  // Partition sizes come from each index's partition directory.
+  const CsDirectory& cs_dir = cs.directory();
+  const EcsDirectory& ecs_dir = ecs.directory();
 
   std::printf("Geonames-like dataset: %zu triples\n", data.triples.size());
   std::printf("emergent schema: %zu characteristic sets, %zu ECSs\n\n",
@@ -34,15 +37,15 @@ int main() {
   std::vector<CsId> by_population(cs.num_sets());
   for (uint32_t i = 0; i < cs.num_sets(); ++i) by_population[i] = CsId(i);
   std::sort(by_population.begin(), by_population.end(),
-            [&cs](CsId a, CsId b) {
-              return cs.RangeOf(a).size() > cs.RangeOf(b).size();
+            [&cs_dir](CsId a, CsId b) {
+              return cs_dir.Range(a).size() > cs_dir.Range(b).size();
             });
   std::printf("top 5 node types (characteristic sets) by triple count:\n");
   for (size_t i = 0; i < 5 && i < by_population.size(); ++i) {
     CsId id = by_population[i];
     std::printf("  CS%-5u %6llu triples, %4llu subjects, properties:",
                 id.value(),
-                static_cast<unsigned long long>(cs.RangeOf(id).size()),
+                static_cast<unsigned long long>(cs_dir.Range(id).size()),
                 static_cast<unsigned long long>(cs.DistinctSubjects(id)));
     for (uint32_t ord : cs.set(id).properties.ToIndices()) {
       std::string canonical =
@@ -58,9 +61,10 @@ int main() {
   // --- Relationship types (ECSs) and their join statistics.
   std::vector<EcsId> ecs_by_size(ecs.num_sets());
   for (uint32_t i = 0; i < ecs.num_sets(); ++i) ecs_by_size[i] = EcsId(i);
-  std::sort(ecs_by_size.begin(), ecs_by_size.end(), [&ecs](EcsId a, EcsId b) {
-    return ecs.RangeOf(a).size() > ecs.RangeOf(b).size();
-  });
+  std::sort(ecs_by_size.begin(), ecs_by_size.end(),
+            [&ecs_dir](EcsId a, EcsId b) {
+              return ecs_dir.Range(a).size() > ecs_dir.Range(b).size();
+            });
   std::printf("\ntop 5 relationship types (ECSs) by triple count:\n");
   for (size_t i = 0; i < 5 && i < ecs_by_size.size(); ++i) {
     EcsId id = ecs_by_size[i];
@@ -99,7 +103,7 @@ int main() {
   // --- What schema diversity costs: fragmentation census.
   uint64_t single_triple_ecs = 0;
   for (uint32_t i = 0; i < ecs.num_sets(); ++i) {
-    if (ecs.RangeOf(EcsId(i)).size() == 1) ++single_triple_ecs;
+    if (ecs_dir.Range(EcsId(i)).size() == 1) ++single_triple_ecs;
   }
   std::printf(
       "\nfragmentation: %llu of %zu ECSs hold a single triple — the "

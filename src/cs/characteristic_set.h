@@ -63,7 +63,9 @@ class PropertyRegistry {
     const char* limit = data.data() + data.size();
     uint64_t n = 0;
     p = GetVarint64(p, limit, &n);
-    if (p == nullptr) return Status::Corruption("property registry: count");
+    if (p == nullptr || n > static_cast<uint64_t>(limit - p)) {
+      return Status::Corruption("property registry: count");
+    }
     PropertyRegistry reg;
     for (uint64_t i = 0; i < n; ++i) {
       TermId id;

@@ -86,17 +86,24 @@ Result<EcsGraph> EcsGraph::Deserialize(std::string_view data, size_t* pos) {
   const char* limit = data.data() + data.size();
   uint64_t n = 0;
   p = GetVarint64(p, limit, &n);
-  if (p == nullptr) return Status::Corruption("ecs graph: node count");
+  // Each node writes at least its edge count, each edge at least a byte.
+  if (p == nullptr || n > static_cast<uint64_t>(limit - p)) {
+    return Status::Corruption("ecs graph: node count");
+  }
   std::vector<std::vector<EcsId>> links(n);
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t m = 0;
     p = GetVarint64(p, limit, &m);
-    if (p == nullptr) return Status::Corruption("ecs graph: edge count");
+    if (p == nullptr || m > static_cast<uint64_t>(limit - p)) {
+      return Status::Corruption("ecs graph: edge count");
+    }
     links[i].reserve(m);
     for (uint64_t j = 0; j < m; ++j) {
       EcsId id;
       p = GetVarintId(p, limit, &id);
-      if (p == nullptr) return Status::Corruption("ecs graph: edge");
+      if (p == nullptr || id.value() >= n) {
+        return Status::Corruption("ecs graph: edge");
+      }
       links[i].push_back(id);
     }
   }

@@ -141,7 +141,10 @@ Result<EcsHierarchy> EcsHierarchy::Deserialize(std::string_view data,
   const char* limit = data.data() + data.size();
   uint64_t n = 0;
   p = GetVarint64(p, limit, &n);
-  if (p == nullptr) return Status::Corruption("ecs hierarchy: node count");
+  // Each node writes two bitmaps and a child count, at least five bytes.
+  if (p == nullptr || n > static_cast<uint64_t>(limit - p) / 5) {
+    return Status::Corruption("ecs hierarchy: node count");
+  }
   *pos = p - data.data();
 
   EcsHierarchy h;
@@ -162,7 +165,9 @@ Result<EcsHierarchy> EcsHierarchy::Deserialize(std::string_view data,
     p = data.data() + *pos;
     uint64_t m = 0;
     p = GetVarint64(p, limit, &m);
-    if (p == nullptr) return Status::Corruption("ecs hierarchy: child count");
+    if (p == nullptr || m > static_cast<uint64_t>(limit - p)) {
+      return Status::Corruption("ecs hierarchy: child count");
+    }
     for (uint64_t j = 0; j < m; ++j) {
       EcsId c;
       p = GetVarintId(p, limit, &c);

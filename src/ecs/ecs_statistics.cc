@@ -69,7 +69,10 @@ Result<EcsStatistics> EcsStatistics::Deserialize(std::string_view data,
   const char* limit = data.data() + data.size();
   uint64_t n = 0;
   p = GetVarint64(p, limit, &n);
-  if (p == nullptr) return Status::Corruption("ecs stats: count");
+  // Each entry writes four varints, at least a byte each.
+  if (p == nullptr || n > static_cast<uint64_t>(limit - p) / 4) {
+    return Status::Corruption("ecs stats: count");
+  }
   EcsStatistics out;
   out.stats_.resize(n);
   for (uint64_t i = 0; i < n; ++i) {

@@ -12,7 +12,8 @@ double CardinalityEstimator::EstimateStarInCs(CsId cs,
   double estimate = subjects;
   for (uint32_t ordinal : query_cs.ToIndices()) {
     TermId pred = cs_->properties().PredicateOf(PropOrdinal(ordinal));
-    estimate *= static_cast<double>(cs_->PredicateCount(cs, pred)) / subjects;
+    estimate *=
+        static_cast<double>(cs_->directory().Run(cs, pred).size()) / subjects;
   }
   return estimate;
 }
@@ -28,23 +29,7 @@ double CardinalityEstimator::EstimateStar(const Bitmap& query_cs) const {
 double CardinalityEstimator::EstimateQueryEcs(
     const QueryGraph& qg, int query_ecs,
     const std::vector<EcsId>& matches) const {
-  const QueryEcs& q = qg.ecss[query_ecs];
-  double best = -1.0;
-  for (int pi : q.link_patterns) {
-    const IdPattern& p = qg.patterns[pi];
-    if (!p.p_bound()) continue;
-    double total = 0.0;
-    for (EcsId e : matches) {
-      total += static_cast<double>(ecs_->PropertyRange(e, p.p).size());
-    }
-    if (best < 0.0 || total < best) best = total;
-  }
-  if (best >= 0.0) return best;
-  double total = 0.0;
-  for (EcsId e : matches) {
-    total += static_cast<double>(ecs_->RangeOf(e).size());
-  }
-  return total;
+  return planner_.EvalCardinality(qg, query_ecs, matches);
 }
 
 double CardinalityEstimator::EstimateChain(const QueryGraph& qg,
@@ -54,17 +39,7 @@ double CardinalityEstimator::EstimateChain(const QueryGraph& qg,
   double estimate =
       EstimateQueryEcs(qg, chain[0], match.position_matches[0]);
   for (size_t i = 1; i < chain.size(); ++i) {
-    uint64_t triples = 0;
-    uint64_t subjects = 0;
-    for (EcsId e : match.position_matches[i]) {
-      const EcsStats& s = stats_->Of(e);
-      triples += s.num_triples;
-      subjects += s.distinct_subjects;
-    }
-    double mf = subjects == 0
-                    ? 0.0
-                    : static_cast<double>(triples) / static_cast<double>(subjects);
-    estimate *= mf;
+    estimate *= planner_.MultiplicationFactor(match.position_matches[i]);
   }
   return estimate;
 }

@@ -34,7 +34,9 @@ bool EcsMatcher::MatchesUncounted(const QueryGraph& qg, int query_ecs,
   // Unbound link predicates match any property in the region (Sec. IV.B).
   for (int pi : q.link_patterns) {
     const IdPattern& p = qg.patterns[pi];
-    if (p.p_bound() && !ecs_->HasProperty(data_ecs, p.p)) return false;
+    if (p.p_bound() && ecs_->directory().Run(data_ecs, p.p).empty()) {
+      return false;
+    }
   }
 
   // Bound chain nodes: the data ECS's CS on that side must be the bound

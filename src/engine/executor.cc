@@ -86,12 +86,12 @@ bool StarMergeApplicable(const QueryGraph& qg,
   return true;
 }
 
-/// The predicates of partition `cs` whose runs a star reads, in run order:
-/// all of them when a pattern leaves its predicate unbound, otherwise those
-/// its patterns bind.
-std::vector<TermId> StarPredicates(const CsIndex& index, const QueryGraph& qg,
-                                   const std::vector<int>& star_patterns,
-                                   CsId cs) {
+/// The runs of partition `cs` a star reads, in run order: all of them when
+/// a pattern leaves its predicate unbound, otherwise those its patterns
+/// bind.
+std::vector<PropertyRun> StarRuns(const CsIndex& index, const QueryGraph& qg,
+                                  const std::vector<int>& star_patterns,
+                                  CsId cs) {
   std::set<TermId> named;
   bool all = false;
   for (int pi : star_patterns) {
@@ -102,9 +102,9 @@ std::vector<TermId> StarPredicates(const CsIndex& index, const QueryGraph& qg,
       all = true;
     }
   }
-  std::vector<TermId> out;
-  for (const auto& entry : index.PredicateCounts(cs)) {
-    if (all || named.count(entry.first) != 0) out.push_back(entry.first);
+  std::vector<PropertyRun> out;
+  for (const PropertyRun& run : index.directory().Runs(cs)) {
+    if (all || named.count(run.p) != 0) out.push_back(run);
   }
   return out;
 }
@@ -341,15 +341,16 @@ Result<Executor::BgpPlan> Executor::PlanBgp(const SelectQuery& bgp) const {
       const IdPattern& pattern = qg.patterns[pi];
       std::vector<RowRange> ranges;
       for (EcsId e : qecs_matches[step.index]) {
-        RowRange r = pattern.p_bound() ? ecs_->PropertyRange(e, pattern.p)
-                                       : ecs_->RangeOf(e);
+        RowRange r = pattern.p_bound()
+                         ? ecs_->directory().Run(e, pattern.p)
+                         : ecs_->directory().Range(e);
         if (!r.empty()) ranges.push_back(r);
       }
       Scan& scan = step.scans.emplace_back();
       scan.patterns = {pi};
       scan.cols = ScanPattern({}, pattern, nullptr).vars();
       for (const RowRange& r : PlanScanRanges(std::move(ranges))) {
-        scan.units.push_back(Unit{CsId{}, {Run{pattern.p, r}}});
+        scan.units.push_back(Unit{CsId{}, {PropertyRun{pattern.p, r}}});
       }
     }
   }
@@ -413,11 +414,7 @@ Result<Executor::BgpPlan> Executor::PlanBgp(const SelectQuery& bgp) const {
       scan.cols = t.vars();
     }
     for (CsId cs : allowed) {
-      Unit& unit = scan.units.emplace_back();
-      unit.cs = cs;
-      for (TermId pred : StarPredicates(*cs_, qg, star, cs)) {
-        unit.runs.push_back(Run{pred, cs_->PropertyRange(cs, pred)});
-      }
+      scan.units.push_back(Unit{cs, StarRuns(*cs_, qg, star, cs)});
     }
     scan.patterns = std::move(star);
   }
@@ -470,17 +467,17 @@ BindingTable Executor::RunStep(const QueryGraph& qg, const Step& step,
       narrowed = scan.units;
       plan_units = &narrowed;
       for (Unit& unit : narrowed) {
-        for (Run& run : unit.runs) {
-          run.rows = own == unit.cs
-                         ? cs_->SubjectRange(unit.cs, run.p, node->bound_id)
-                         : RowRange{};
+        for (PropertyRun& run : unit.runs) {
+          run.rows = own == unit.cs ? cs_->spo().EqualRangeBySubject(
+                                          run.rows, node->bound_id)
+                                    : RowRange{};
         }
       }
     }
     const std::vector<Unit>& units = *plan_units;
     std::vector<RowRange> read;
     for (const Unit& unit : units) {
-      for (const Run& run : unit.runs) {
+      for (const PropertyRun& run : unit.runs) {
         if (!run.rows.empty()) read.push_back(run.rows);
       }
     }
@@ -529,7 +526,7 @@ BindingTable Executor::EvalUnit(const QueryGraph& qg, Step::Kind kind,
   // predicate is unbound (or `pattern` is null).
   auto runs_of = [&unit](const IdPattern* pattern) {
     std::vector<RowRange> out;
-    for (const Run& run : unit.runs) {
+    for (const PropertyRun& run : unit.runs) {
       if (pattern == nullptr || !pattern->p_bound() || pattern->p == run.p) {
         out.push_back(run.rows);
       }
@@ -540,7 +537,7 @@ BindingTable Executor::EvalUnit(const QueryGraph& qg, Step::Kind kind,
     // One chunk when resident, one pinned page at a time when paged; the
     // scanner is chunk-invariant (same rows, stats and charges).
     PatternScanner scanner(qg.patterns[scan.patterns[0]]);
-    for (const Run& run : unit.runs) {
+    for (const PropertyRun& run : unit.runs) {
       ecs_->pso().Scan(run.rows, [&](std::span<const Triple> chunk, uint64_t) {
         scanner.Feed(chunk, stats, ctx);
       });
@@ -652,7 +649,7 @@ Result<std::string> Executor::Explain(const SelectQuery& query) const {
     size_t runs_held = 0;
     for (const Unit& unit : scan.units) {
       runs_read += unit.runs.size();
-      runs_held += cs_->PredicateCounts(unit.cs).size();
+      runs_held += cs_->directory().Runs(unit.cs).size();
     }
     append("star retrieval for ?" + qg.nodes[step.index].col + ": " +
            std::to_string(scan.patterns.size()) + " pattern(s)" +

@@ -99,18 +99,12 @@ class Executor {
   Result<std::string> Explain(const SelectQuery& query) const;
 
  private:
-  /// A run of table rows a unit reads, with the predicate its rows hold
-  /// (a link scan's ECS range holds one, or any when the link pattern
-  /// leaves its predicate unbound).
-  struct Run {
-    TermId p;
-    RowRange rows;
-  };
   /// One pool task's work: the runs it reads, and for a star the CS
-  /// partition they lie in.
+  /// partition they lie in. A link scan's run is a coalesced ECS range
+  /// holding the link pattern's predicate (or any when it is unbound).
   struct Unit {
     CsId cs;
-    std::vector<Run> runs;
+    std::vector<PropertyRun> runs;
   };
   /// One fan-out: every unit evaluates `patterns` over its runs, and the
   /// parts are gathered, in unit order, into one table with schema `cols`.

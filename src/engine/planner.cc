@@ -92,22 +92,27 @@ double Planner::PositionCost(const QueryGraph& qg, int query_ecs,
       !qg.nodes[q.object_node].is_variable) {
     return 1.0;
   }
-  // Otherwise the cost of reading eval(Q): the union of the matched ECS
-  // ranges, narrowed to the bound link predicate with the smallest ranges.
+  // Otherwise the cost of reading eval(Q).
+  return EvalCardinality(qg, query_ecs, matches);
+}
+
+double Planner::EvalCardinality(const QueryGraph& qg, int query_ecs,
+                                const std::vector<EcsId>& matches) const {
+  const QueryEcs& q = qg.ecss[query_ecs];
   double best = -1.0;
   for (int pi : q.link_patterns) {
     const IdPattern& p = qg.patterns[pi];
     if (!p.p_bound()) continue;
     double total = 0.0;
     for (EcsId e : matches) {
-      total += static_cast<double>(ecs_->PropertyRange(e, p.p).size());
+      total += static_cast<double>(ecs_->directory().Run(e, p.p).size());
     }
     if (best < 0.0 || total < best) best = total;
   }
   if (best >= 0.0) return best;
   double total = 0.0;
   for (EcsId e : matches) {
-    total += static_cast<double>(ecs_->RangeOf(e).size());
+    total += static_cast<double>(ecs_->directory().Range(e).size());
   }
   return total;
 }

@@ -68,12 +68,18 @@ class Planner {
       : ecs_(ecs_index), stats_(stats) {}
 
   /// Cost of evaluating one query ECS: 1 when either chain node is bound
-  /// (Sec. IV.C), else the total triple count of its matched ECSs —
-  /// restricted to the bound link predicates' ranges when available.
+  /// (Sec. IV.C), else its EvalCardinality.
   double PositionCost(const QueryGraph& qg, int query_ecs,
                       const std::vector<EcsId>& matches) const;
 
-  /// m_f,os aggregated over the matched ECSs of a position.
+  /// eval(Q) of one query ECS: the rows of its matched ECS partitions,
+  /// narrowed to the bound link predicate whose runs hold the fewest rows,
+  /// or whole partitions when no link predicate is bound.
+  double EvalCardinality(const QueryGraph& qg, int query_ecs,
+                         const std::vector<EcsId>& matches) const;
+
+  /// m_f,os aggregated over the matched ECSs of a position: their triples
+  /// over their distinct subjects (0 when they have none).
   double MultiplicationFactor(const std::vector<EcsId>& matches) const;
 
   /// Builds the plan. When `enable` is false the chain order and the

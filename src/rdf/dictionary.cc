@@ -122,14 +122,17 @@ Result<Dictionary> Dictionary::Deserialize(std::string_view data) {
   Dictionary dict;
   uint64_t num_prefixes = 0;
   p = GetVarint64(p, limit, &num_prefixes);
-  if (p == nullptr) return Status::Corruption("dictionary: prefix count");
+  // Each prefix and each term writes at least one byte.
+  if (p == nullptr || num_prefixes > static_cast<uint64_t>(limit - p)) {
+    return Status::Corruption("dictionary: prefix count");
+  }
   dict.prefixes_.clear();
   dict.prefix_map_.clear();
   dict.prefixes_.reserve(num_prefixes);
   for (uint64_t i = 0; i < num_prefixes; ++i) {
     uint64_t len = 0;
     p = GetVarint64(p, limit, &len);
-    if (p == nullptr || p + len > limit) {
+    if (p == nullptr || len > static_cast<uint64_t>(limit - p)) {
       return Status::Corruption("dictionary: prefix entry");
     }
     dict.prefixes_.emplace_back(p, len);
@@ -140,7 +143,9 @@ Result<Dictionary> Dictionary::Deserialize(std::string_view data) {
 
   uint64_t num_terms = 0;
   p = GetVarint64(p, limit, &num_terms);
-  if (p == nullptr) return Status::Corruption("dictionary: term count");
+  if (p == nullptr || num_terms > static_cast<uint64_t>(limit - p)) {
+    return Status::Corruption("dictionary: term count");
+  }
   dict.prefix_ids_.reserve(num_terms);
   dict.suffixes_.reserve(num_terms);
   for (uint64_t i = 0; i < num_terms; ++i) {
@@ -151,7 +156,7 @@ Result<Dictionary> Dictionary::Deserialize(std::string_view data) {
     }
     uint64_t len = 0;
     p = GetVarint64(p, limit, &len);
-    if (p == nullptr || p + len > limit) {
+    if (p == nullptr || len > static_cast<uint64_t>(limit - p)) {
       return Status::Corruption("dictionary: term suffix");
     }
     dict.prefix_ids_.push_back(prefix_id);
@@ -170,7 +175,7 @@ Result<Dictionary> Dictionary::Deserialize(std::string_view data) {
   }
 
   // Validate the clustered section.
-  if (p + num_terms * 4 > limit) {
+  if (num_terms > static_cast<uint64_t>(limit - p) / 4) {
     return Status::Corruption("dictionary: truncated order section");
   }
   std::string prev;

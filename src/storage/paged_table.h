@@ -7,7 +7,7 @@
 // owned blob or a borrowed mmapped db-file section); row access pins one
 // page at a time, so the decoded working set is bounded by the buffer
 // manager's frame pool and datasets larger than the pool still load and
-// query. Point lookups (the binary searches behind CsIndex::SubjectRange)
+// query. Point lookups (the binary searches of EqualRangeBySubject)
 // decode single rows straight from the compressed bytes via restart
 // points, bypassing the pool entirely.
 //

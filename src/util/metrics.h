@@ -1,6 +1,6 @@
 // Global metrics: named counters and histograms for the engine's hot
-// paths (triples scanned, B+-tree node touches, ECS matches tried/pruned,
-// chain lengths, pool queue depth, per-operator wall time).
+// paths (triples scanned, ECS matches tried/pruned, chain lengths, pool
+// queue depth, per-operator wall time).
 //
 // Design constraints:
 //  * Registration is on-demand and thread-safe; returned pointers are

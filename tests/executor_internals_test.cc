@@ -127,11 +127,11 @@ TEST(StarMergeTest, FastPathMatchesGeneralPipelineResults) {
 std::vector<std::pair<std::string, SelectQuery>> StarShapes(
     const Database& db, CsId cs) {
   const CsIndex& index = db.cs_index();
-  const auto& counts = index.PredicateCounts(cs);
-  const TermId p1 = counts.back().first;
-  const TermId p2 = counts.front().first;
+  const auto runs = index.directory().Runs(cs);
+  const TermId p1 = runs.back().p;
+  const TermId p2 = runs.front().p;
   const std::vector<Triple> run =
-      testutil::RowsOf(index.spo(), index.PropertyRange(cs, p1));
+      testutil::RowsOf(index.spo(), runs.back().rows);
   const Triple& mid = run[run.size() / 2];
   auto bound = [&db](TermId id) {
     return PatternTerm::Bound(db.dict().GetTerm(id).value());
@@ -177,13 +177,14 @@ void ExpectStarsMatchSubjectMajorOracle(const Dataset& data) {
       std::optional<CsId> largest;
       std::optional<CsId> widest;
       for (const CharacteristicSet& cs : index.sets()) {
-        if (index.PredicateCounts(cs.id).size() < 2) continue;
-        if (!largest || index.RangeOf(cs.id).size() >
-                            index.RangeOf(*largest).size()) {
+        const CsDirectory& dir = index.directory();
+        if (dir.Runs(cs.id).size() < 2) continue;
+        if (!largest ||
+            dir.Range(cs.id).size() > dir.Range(*largest).size()) {
           largest = cs.id;
         }
-        if (!widest || index.PredicateCounts(cs.id).size() >
-                           index.PredicateCounts(*widest).size()) {
+        if (!widest ||
+            dir.Runs(cs.id).size() > dir.Runs(*widest).size()) {
           widest = cs.id;
         }
       }

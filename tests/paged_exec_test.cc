@@ -304,8 +304,7 @@ TEST(PagedExecTest, SubjectSeeksMatchResidentOnEveryRun) {
   const TripleSource& pages = paged.value().cs_index().spo();
   uint64_t seeks = 0;
   for (const CharacteristicSet& cs : index.sets()) {
-    for (const auto& [p, count] : index.PredicateCounts(cs.id)) {
-      const RowRange run = index.PropertyRange(cs.id, p);
+    for (const auto& [p, run] : index.directory().Runs(cs.id)) {
       std::vector<TermId> subjects;
       for (const Triple& t : testutil::RowsOf(rows, run)) {
         if (subjects.empty() || subjects.back() != t.s) {

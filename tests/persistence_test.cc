@@ -19,6 +19,7 @@
 #include "datagen/sp2b_generator.h"
 #include "engine/database.h"
 #include "engine/update_store.h"
+#include "malformed_metadata.h"
 #include "storage/db_file.h"
 #include "test_util.h"
 #include "util/hash.h"
@@ -514,8 +515,8 @@ TEST_F(PersistenceTest, PagedSaveIsByteStable) {
   std::remove(path2.c_str());
 }
 
-// Build skips its (S, P, O) sort, and CS extraction its subject sort, when
-// the rows arrive sorted — the update store's live set does. Rows that are
+// Build skips its (S, P, O) sort when the rows arrive sorted — the update
+// store's live set does — and CS extraction never sorts. Rows that are
 // sorted (serial build) and rows shuffled with duplicates added (4 workers,
 // so the ECS scatter runs in several chunks) must give the identical file,
 // in both storage modes.
@@ -697,6 +698,45 @@ TEST_F(PersistenceTest, OpenRejectsTableShorterThanItsIndex) {
     }
     std::remove(full.c_str());
   }
+}
+
+// Metadata that points outside the file's own ranges, each rewritten
+// under a valid section checksum (malformed_metadata.h): a subject
+// of an unknown CS, an ECS set of an unknown CS, a property run ending
+// before it begins, overlapping partitions, a graph edge to an unknown
+// ECS, graph or statistics counts that disagree with the ECS count, and
+// counts past the bytes left. Every open rejects each as corruption rather
+// than indexing out of bounds later or sizing a vector from the count.
+TEST_F(PersistenceTest, OpenRejectsMetadataOutsideItsRanges) {
+  LubmConfig cfg;
+  cfg.num_universities = 1;
+  auto built = Database::Build(GenerateLubmDataset(cfg), ModeOptions(false));
+  ASSERT_TRUE(built.ok());
+  const std::string full = path_ + ".full";
+  ASSERT_TRUE(built.value().Save(full).ok());
+  DbFileReader reader;
+  ASSERT_TRUE(reader.Open(full).ok());
+  auto rewrites = MalformedMetadata(built.value(), reader);
+  ASSERT_TRUE(rewrites.ok()) << rewrites.status().ToString();
+  EXPECT_EQ(rewrites.value().size(), 11u);
+  const Sections sections = ReadSections(full);
+  for (const MalformedSection& m : rewrites.value()) {
+    Sections edited = sections;
+    for (auto& [name, payload] : edited) {
+      if (name == m.section) payload = m.payload;
+    }
+    WriteSections(path_, edited);
+    for (const bool open_paged : {false, true}) {
+      for (const bool mapped : {false, true}) {
+        auto opened = OpenIn(path_, open_paged, mapped);
+        ASSERT_FALSE(opened.ok())
+            << m.name << (open_paged ? ", paged" : ", resident")
+            << (mapped ? " OpenMapped" : " Open");
+        EXPECT_EQ(opened.status().code(), StatusCode::kCorruption) << m.name;
+      }
+    }
+  }
+  std::remove(full.c_str());
 }
 
 // A file without the `format` section is a format 1 file: its CS

@@ -129,7 +129,8 @@ inline BindingTable ReferenceStar(const Database& db, const SelectQuery& q,
   // subject's rows.
   std::vector<std::vector<Triple>> parts;
   for (CsId cs : allowed) {
-    std::vector<Triple> rows = testutil::RowsOf(index.spo(), index.RangeOf(cs));
+    std::vector<Triple> rows =
+        testutil::RowsOf(index.spo(), index.directory().Range(cs));
     std::sort(rows.begin(), rows.end(), [](const Triple& a, const Triple& b) {
       return std::tuple(a.s, a.p, a.o) < std::tuple(b.s, b.p, b.o);
     });
