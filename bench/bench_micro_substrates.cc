@@ -78,16 +78,32 @@ void BM_TripleTableEqualRange(benchmark::State& state) {
 }
 BENCHMARK(BM_TripleTableEqualRange);
 
-void BM_HashJoin(benchmark::State& state) {
+// Joins two n-row tables on ?y, drawn from n/4 + 1 values. With two keys
+// the tables also share ?w, a function of ?y (its parity), so the output
+// is the same and only the cost of the second key column shows.
+void RunHashJoin(benchmark::State& state, bool two_keys) {
   Random rng(6);
   int n = static_cast<int>(state.range(0));
-  BindingTable left({"x", "y"});
-  BindingTable right({"y", "z"});
+  std::vector<std::string> left_vars = {"x", "y"};
+  std::vector<std::string> right_vars = {"y", "z"};
+  if (two_keys) {
+    left_vars.push_back("w");
+    right_vars.insert(right_vars.begin() + 1, "w");
+  }
+  BindingTable left(left_vars);
+  BindingTable right(right_vars);
+  auto parity = [](uint32_t y) { return TermId(1 + y % 2); };
   for (int i = 0; i < n; ++i) {
-    left.AppendRow({static_cast<TermId>(i + 1),
-                    TermId(static_cast<uint32_t>(1 + rng.Uniform(n / 4 + 1)))});
-    right.AppendRow({TermId(static_cast<uint32_t>(1 + rng.Uniform(n / 4 + 1))),
-                     static_cast<TermId>(i + 1)});
+    const auto ly = static_cast<uint32_t>(1 + rng.Uniform(n / 4 + 1));
+    const auto ry = static_cast<uint32_t>(1 + rng.Uniform(n / 4 + 1));
+    const TermId id(static_cast<uint32_t>(i + 1));
+    if (two_keys) {
+      left.AppendRow({id, TermId(ly), parity(ly)});
+      right.AppendRow({TermId(ry), parity(ry), id});
+    } else {
+      left.AppendRow({id, TermId(ly)});
+      right.AppendRow({TermId(ry), id});
+    }
   }
   for (auto _ : state) {
     ExecStats stats;
@@ -95,7 +111,46 @@ void BM_HashJoin(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
+void BM_HashJoin(benchmark::State& state) { RunHashJoin(state, false); }
 BENCHMARK(BM_HashJoin)->Arg(1000)->Arg(10000);
+void BM_HashJoinTwoKeys(benchmark::State& state) { RunHashJoin(state, true); }
+BENCHMARK(BM_HashJoinTwoKeys)->Arg(1000)->Arg(10000);
+
+// DISTINCT over n two-column rows drawn from 100 x 100 values (about 6,300
+// distinct rows at n = 10,000).
+void BM_Distinct(benchmark::State& state) {
+  Random rng(8);
+  const auto n = static_cast<size_t>(state.range(0));
+  BindingTable in({"x", "y"});
+  for (size_t i = 0; i < n; ++i) {
+    in.AppendRow({TermId(static_cast<uint32_t>(1 + rng.Uniform(100))),
+                  TermId(static_cast<uint32_t>(1 + rng.Uniform(100)))});
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(Distinct(in));
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Distinct)->Arg(10000)->Arg(100000);
+
+// GROUP BY ?x (n/16 + 1 values) with COUNT(*) and COUNT(DISTINCT ?y) (64
+// values).
+void BM_GroupCount(benchmark::State& state) {
+  Random rng(9);
+  const auto n = static_cast<size_t>(state.range(0));
+  BindingTable in({"x", "y"});
+  for (size_t i = 0; i < n; ++i) {
+    in.AppendRow({TermId(static_cast<uint32_t>(1 + rng.Uniform(n / 16 + 1))),
+                  TermId(static_cast<uint32_t>(1 + rng.Uniform(64)))});
+  }
+  const std::vector<Aggregate> aggregates = {
+      {Aggregate::Kind::kCount, false, "", "n"},
+      {Aggregate::Kind::kCount, true, "y", "d"}};
+  for (auto _ : state) {
+    ExecStats stats;
+    benchmark::DoNotOptimize(GroupCount(in, {"x"}, aggregates, &stats));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_GroupCount)->Arg(10000)->Arg(100000);
 
 void BM_ScanPattern(benchmark::State& state) {
   Random rng(7);

@@ -74,6 +74,20 @@ BindingTable RandTable(std::vector<std::string> vars, size_t rows,
   return t;
 }
 
+// `t` with every value v replaced by v << 16 (v must be below 2^16): all
+// ids then share their low 16 bits, which a hash table must not index by.
+BindingTable HighBits(const BindingTable& t) {
+  BindingTable out(t.vars());
+  std::vector<TermId> row(t.num_cols());
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    for (size_t c = 0; c < row.size(); ++c) {
+      row[c] = TermId(t.at(r, c).value() << 16);
+    }
+    out.AppendRow(row);
+  }
+  return out;
+}
+
 // Rows of `t` in table order.
 Rows RowsOf(const BindingTable& t) {
   Rows out;
@@ -144,6 +158,31 @@ Rows NestedLoopJoin(const BindingTable& outer, const BindingTable& inner,
       row.resize(outer.num_cols() + inner_only.size(), kInvalidId);
       out.push_back(std::move(row));
     }
+  }
+  return out;
+}
+
+// Reference GROUP BY over the `key` columns (-1 = a variable absent from
+// the input, unbound in every group) with COUNT(*) and COUNT(DISTINCT) of
+// column `counted`, all bound: a std::map, so groups come out in key id
+// order.
+Rows GroupCountOracle(const BindingTable& t, const std::vector<int>& key,
+                      size_t counted) {
+  std::map<std::vector<TermId>, std::pair<uint64_t, std::set<TermId>>> groups;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    std::vector<TermId> k;
+    for (int c : key) {
+      k.push_back(c < 0 ? kInvalidId : t.at(r, static_cast<size_t>(c)));
+    }
+    auto& g = groups[k];
+    ++g.first;
+    g.second.insert(t.at(r, counted));
+  }
+  Rows out;
+  for (const auto& [k, g] : groups) {
+    out.push_back(k);
+    out.back().push_back(MakeValueId(static_cast<uint32_t>(g.first)));
+    out.back().push_back(MakeValueId(static_cast<uint32_t>(g.second.size())));
   }
   return out;
 }
@@ -305,25 +344,61 @@ TEST(BatchBoundaryTest, JoinsAcrossBoundaries) {
   BindingTable ys = RandTable({"y"}, 50, 100, 6);
   EXPECT_EQ(check_hash_join(xs, ys, "cross product").num_rows(), 3000u);
 
-  // SemiJoin keeps left rows (in order) with a key match on the right.
-  auto check_semi_join = [](const BindingTable& l, const BindingTable& r,
-                            const std::string& what) {
-    const Rows matched = NestedLoopJoin(l, r, false);
-    std::set<std::vector<TermId>> keep;
-    const auto width = static_cast<std::ptrdiff_t>(l.num_cols());
-    for (const auto& row : matched) {
-      keep.emplace(row.begin(), row.begin() + width);
-    }
-    Rows expect;
-    for (const auto& row : RowsOf(l)) {
-      if (keep.count(row)) expect.push_back(row);
-    }
+  BindingTable left3 = RandTable({"a", "k", "m", "n"}, 1200, 4, 21);
+  BindingTable right3 = RandTable({"k", "m", "n", "b"}, 700, 4, 22);
+  check_hash_join(left3, right3, "three-key hash join");
+
+  // Keys that are all multiples of 2^16, over thousands of distinct keys.
+  BindingTable high_left = HighBits(RandTable({"a", "k"}, 1500, 3000, 23));
+  BindingTable high_right = HighBits(RandTable({"k", "b"}, 1200, 3000, 24));
+  check_hash_join(high_left, high_right, "hash join, high-bit keys");
+  BindingTable high_left2 = HighBits(RandTable({"a", "k", "m"}, 1500, 60, 25));
+  BindingTable high_right2 =
+      HighBits(RandTable({"k", "m", "b"}, 1400, 60, 26));
+  check_hash_join(high_left2, high_right2, "two-key hash join, high-bit keys");
+
+  // 120,000 distinct build keys. The compatibility joins build on the
+  // right, so a small left side (half its keys present, half absent) keeps
+  // the nested-loop oracle cheap; HashJoin builds on the smaller side, so
+  // its probe side is larger still and a std::map of the build keys is
+  // the oracle.
+  BindingTable many_keys({"k", "b"});
+  for (size_t i = 0; i < 120000; ++i) {
+    many_keys.AppendRow({Id(1 + (i * 40503) % 1000003), Id(i % 13)});
+  }
+  BindingTable few({"a", "k"});
+  for (size_t i = 0; i < 40; ++i) {
+    few.AppendRow(
+        {Id(i), i % 2 == 0 ? many_keys.at(i * 1187, 0) : Id(2000000 + i)});
+  }
+  {
     ExecStats stats;
-    EXPECT_EQ(RowsOf(SemiJoin(l, r, &stats)), expect) << what;
-    ExpectStats(stats, 0, expect.size(), 1, 0, what);
-  };
-  check_semi_join(left, right, "single-key semi join");
-  check_semi_join(left2, right2, "multi-key semi join");
+    BindingTable out = LeftOuterJoin(few, many_keys, &stats);
+    Rows expect = NestedLoopJoin(few, many_keys, true);
+    EXPECT_EQ(RowsOf(out), expect) << "optional, 120k build keys";
+    ExpectStats(stats, 0, expect.size(), 1, Bytes(expect, 3),
+                "optional, 120k build keys");
+  }
+  BindingTable probe_many({"a", "k"});
+  for (size_t i = 0; i < 130000; ++i) {
+    probe_many.AppendRow({Id(i), Id(1 + (i * 7919) % 1000003)});
+  }
+  std::map<TermId, TermId> b_of;  // build key -> its one b value
+  for (size_t r = 0; r < many_keys.num_rows(); ++r) {
+    b_of[many_keys.at(r, 0)] = many_keys.at(r, 1);
+  }
+  Rows expect_many;
+  for (size_t r = 0; r < probe_many.num_rows(); ++r) {
+    auto it = b_of.find(probe_many.at(r, 1));
+    if (it == b_of.end()) continue;
+    expect_many.push_back({probe_many.at(r, 0), it->first, it->second});
+  }
+  ASSERT_GT(expect_many.size(), 1000u);
+  ExecStats many_stats;
+  BindingTable joined_many = HashJoin(probe_many, many_keys, &many_stats);
+  EXPECT_EQ(RowsOf(joined_many), expect_many);
+  ExpectStats(many_stats, 0, expect_many.size(), 1, Bytes(expect_many, 3),
+              "hash join, 120k build keys");
 
   // The compatibility joins emit left rows in order, each followed by its
   // compatible right rows in order. Unbound values in a shared column
@@ -350,7 +425,11 @@ TEST(BatchBoundaryTest, JoinsAcrossBoundaries) {
         Case{&null_both, &null_right, true, "optional, nulls on both sides"},
         Case{&null_left, &narrow_right, true, "optional with unmatched rows"},
         Case{&null_left, &narrow_right, false, "compat join, some unmatched"},
-        Case{&null_right, &null_left, true, "optional, small left side"}}) {
+        Case{&null_right, &null_left, true, "optional, small left side"},
+        Case{&xs, &ys, true, "optional without shared columns"},
+        Case{&left2, &right2, true, "optional, two keys"},
+        Case{&left3, &right3, true, "optional, three keys"},
+        Case{&high_left, &high_right, true, "optional, high-bit keys"}}) {
     ExecStats stats;
     BindingTable out = c.outer ? LeftOuterJoin(*c.l, *c.r, &stats)
                                : CompatJoin(*c.l, *c.r, &stats);
@@ -443,6 +522,39 @@ TEST(BatchBoundaryTest, DistinctProjectUnionGroupCount) {
   Aggregate count_distinct_star{Aggregate::Kind::kCount, true, "", "dr"};
   EXPECT_EQ(RowsOf(GroupCount(in, {"zz"}, {count_distinct_star}, nullptr)),
             (Rows{{kInvalidId, count(expect_distinct.size())}}));
+
+  // Past 100,000 distinct keys, and with keys that are all multiples of
+  // 2^16, DISTINCT and GROUP BY (one and two key columns, and a key
+  // variable absent from the input) match the std::set/std::map oracles.
+  const BindingTable many = RandTable({"a", "b"}, 150000, 1000000, 14);
+  const BindingTable high = HighBits(RandTable({"a", "b", "c"}, 6000, 30, 15));
+  struct Grouping {
+    std::vector<std::string> vars;
+    std::vector<int> cols;
+  };
+  for (const BindingTable* t : {&many, &high}) {
+    const std::string what = t == &many ? "many keys" : "high-bit keys";
+    Rows expect_first;
+    std::set<std::vector<TermId>> first;
+    for (const auto& r : RowsOf(*t)) {
+      if (first.insert(r).second) expect_first.push_back(r);
+    }
+    EXPECT_EQ(RowsOf(Distinct(*t)), expect_first) << what;
+    for (const Grouping& g : {Grouping{{"a"}, {0}}, Grouping{{"a", "b"}, {0, 1}},
+                              Grouping{{"a", "zz"}, {0, -1}}}) {
+      const Rows expect = GroupCountOracle(*t, g.cols, 1);
+      if (t == &many) {
+        EXPECT_GT(expect.size(), 100000u);
+      }
+      ExecStats stats;
+      EXPECT_EQ(RowsOf(GroupCount(*t, g.vars, {count_star, count_distinct_b},
+                                  &stats)),
+                expect)
+          << what << " by " << g.vars.size() << " vars";
+      ExpectStats(stats, 0, expect.size(), 0,
+                  Bytes(expect, g.vars.size() + 2), what);
+    }
+  }
 }
 
 TEST(BatchBoundaryTest, FilterByExprAndOrderByOverInternedTerms) {
@@ -534,9 +646,6 @@ TEST(ZeroRowTest, UnionAndOptionalWithEmptyInputs) {
   ExecStats s6;
   EXPECT_EQ(HashJoin(rows_ab, empty_bc, &s6).num_rows(), 0u);
   ExpectStats(s6, 0, 0, 1, 0, "join empty right");
-  ExecStats s7;
-  EXPECT_EQ(SemiJoin(empty_ab, rows_ab, &s7).num_rows(), 0u);
-  ExpectStats(s7, 0, 0, 1, 0, "semijoin empty left");
 
   // Nullary (zero-column) inputs follow the engine-wide convention: at
   // most one empty row, the join identity.
@@ -551,7 +660,6 @@ TEST(ZeroRowTest, UnionAndOptionalWithEmptyInputs) {
   EXPECT_EQ(HashJoin(nullary_row, nullary_row, nullptr).num_rows(), 1u);
   EXPECT_EQ(LeftOuterJoin(nullary_row, nullary_empty, nullptr).num_rows(), 1u);
   EXPECT_EQ(CompatJoin(nullary_row, nullary_empty, nullptr).num_rows(), 0u);
-  EXPECT_EQ(SemiJoin(nullary_row, rows_ab, nullptr).num_rows(), 1u);
   EXPECT_EQ(Distinct(nullary_row).num_rows(), 1u);
   EXPECT_EQ(Limit(nullary_row, 1).num_rows(), 1u);
   EXPECT_EQ(Limit(nullary_row, 0).num_rows(), 0u);
@@ -714,18 +822,39 @@ TEST(CancellationTest, PreCancelledScanThrowsBeforeTheFirstBlock) {
   EXPECT_EQ(stats.rows_scanned, 0u);
 }
 
-TEST(CancellationTest, PreCancelledNestedLoopJoinThrows) {
-  // The unbound-key compatibility join checks for stops as it compares
-  // pairs, so a cancelled query never materializes its output.
+TEST(CancellationTest, PreCancelledJoinsAndGroupingThrow) {
+  // The hash builds, the grouping loops and the unbound-key compatibility
+  // join's pair loop check for stops, so a cancelled query never
+  // materializes an output.
   BindingTable left = RandTable({"a", "k"}, 1500, 10, 7);
-  left.AppendRow({TermId(1), kInvalidId});
   BindingTable right = RandTable({"k", "b"}, 90, 10, 8);
+  BindingTable null_left = left;
+  null_left.AppendRow({TermId(1), kInvalidId});
+  Aggregate count_star{Aggregate::Kind::kCount, false, "", "n"};
+  Aggregate count_distinct_b{Aggregate::Kind::kCount, true, "b", "db"};
   CancellationToken token;
   token.Cancel();
   QueryContext ctx(0, 0, &token);
-  ExecStats stats;
-  EXPECT_THROW(LeftOuterJoin(left, right, &stats, &ctx), QueryStopError);
-  EXPECT_EQ(stats.intermediate_rows, 0u);
+  struct Case {
+    const char* what;
+    std::function<void(ExecStats*)> run;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"optional nested loop",
+            [&](ExecStats* s) { LeftOuterJoin(null_left, right, s, &ctx); }},
+           {"hash join", [&](ExecStats* s) { HashJoin(left, right, s, &ctx); }},
+           {"optional hash path",
+            [&](ExecStats* s) { LeftOuterJoin(left, right, s, &ctx); }},
+           {"distinct", [&](ExecStats*) { Distinct(left, &ctx); }},
+           {"group count",
+            [&](ExecStats* s) {
+              GroupCount(right, {"k"}, {count_star, count_distinct_b}, s,
+                         &ctx);
+            }}}) {
+    ExecStats stats;
+    EXPECT_THROW(c.run(&stats), QueryStopError) << c.what;
+    EXPECT_EQ(stats.intermediate_rows, 0u) << c.what;
+  }
 }
 
 // ----------------------------------------------------- engine-level merge

@@ -190,22 +190,6 @@ TEST(FilterEqualsTest, KeepsMatchingRows) {
   EXPECT_EQ(g.num_rows(), 0u);
 }
 
-TEST(SemiJoinTest, FiltersBySharedColumns) {
-  BindingTable l = Table({"x", "y"}, {{1, 10}, {2, 20}, {2, 21}});
-  BindingTable r = Table({"x"}, {{2}});
-  BindingTable s = SemiJoin(l, r, nullptr);
-  EXPECT_EQ(s.num_rows(), 2u);
-  EXPECT_EQ(s.vars(), l.vars());
-}
-
-TEST(SemiJoinTest, DisjointColumnsActAsExistenceCheck) {
-  BindingTable l = Table({"x"}, {{1}, {2}});
-  BindingTable nonempty = Table({"z"}, {{9}});
-  BindingTable empty = Table({"z"}, {});
-  EXPECT_EQ(SemiJoin(l, nonempty, nullptr).num_rows(), 2u);
-  EXPECT_EQ(SemiJoin(l, empty, nullptr).num_rows(), 0u);
-}
-
 TEST(ProjectTest, ReordersAndDropsColumns) {
   BindingTable t = Table({"x", "y", "z"}, {{1, 2, 3}});
   BindingTable p = Project(t, {"z", "x"});
