@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the substrate layers: bitmap
-// subset tests, dictionary interning/lookup, triple table range probes and
-// the relational operators. Not a paper artifact —
+// subset tests, N-Triples loading, dictionary interning/lookup/copying,
+// triple table range probes and the relational operators. Not a paper artifact —
 // these quantify the primitives every macro number is built from.
 
 #include <benchmark/benchmark.h>
 
+#include "datagen/lubm_generator.h"
 #include "exec/operators.h"
 #include "rdf/dictionary.h"
+#include "rdf/ntriples.h"
 #include "storage/triple_table.h"
 #include "util/bitmap.h"
 #include "util/random.h"
@@ -30,6 +32,64 @@ void BM_BitmapSubset(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitmapSubset)->Arg(32)->Arg(64)->Arg(256)->Arg(1024);
+
+// Generated LUBM data (about 50k triples): the dataset, and its N-Triples
+// text.
+const Dataset& LubmData() {
+  static const Dataset data = [] {
+    LubmConfig config;
+    config.num_universities = 4;
+    config.depts_per_university = 15;
+    config.undergrads_per_dept = 60;
+    config.grads_per_dept = 20;
+    return GenerateLubmDataset(config);
+  }();
+  return data;
+}
+
+const std::string& LubmText() {
+  static const std::string text = [] {
+    const Dataset& d = LubmData();
+    std::string out;
+    for (const Triple& t : d.triples) {
+      out += WriteNTriplesLine(TermTriple{d.dict.GetTerm(t.s).value(),
+                                          d.dict.GetTerm(t.p).value(),
+                                          d.dict.GetTerm(t.o).value()});
+    }
+    return out;
+  }();
+  return text;
+}
+
+// Dataset::AddNTriples: scan, then intern every term's canonical text.
+void BM_AddNTriples(benchmark::State& state) {
+  const std::string& text = LubmText();
+  size_t triples = 0;
+  for (auto _ : state) {
+    Dataset d;
+    if (!d.AddNTriples(text).ok()) state.SkipWithError("parse failed");
+    triples = d.triples.size();
+    benchmark::DoNotOptimize(d.triples.data());
+  }
+  state.counters["triples"] = static_cast<double>(triples);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(triples));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_AddNTriples)->Unit(benchmark::kMillisecond);
+
+// What Database::Build(const Dataset&) and UpdatableDatabase::Create pay
+// to take their own dictionary.
+void BM_DictionaryCopy(benchmark::State& state) {
+  const Dictionary& dict = LubmData().dict;
+  for (auto _ : state) {
+    Dictionary copy(dict);
+    benchmark::DoNotOptimize(copy.size());
+  }
+  state.counters["terms"] = static_cast<double>(dict.size());
+}
+BENCHMARK(BM_DictionaryCopy)->Unit(benchmark::kMicrosecond);
 
 void BM_DictionaryIntern(benchmark::State& state) {
   std::vector<Term> terms;

@@ -34,9 +34,18 @@ struct Dataset {
         Triple{dict.Intern(t.s), dict.Intern(t.p), dict.Intern(t.o)});
   }
 
-  /// Parses N-Triples text into the dataset.
+  /// Parses N-Triples text into the dataset, interning each term's
+  /// canonical text where it lies in `text`. Statements before a syntax
+  /// error stay added.
   Status AddNTriples(std::string_view text) {
-    return ParseNTriples(text, [this](TermTriple t) { Add(t); });
+    NTriplesScanner scanner(text);
+    TripleSlice t;
+    while (scanner.Next(&t)) {
+      triples.push_back(Triple{dict.InternCanonical(t.s),
+                               dict.InternCanonical(t.p),
+                               dict.InternCanonical(t.o)});
+    }
+    return scanner.status();
   }
 };
 

@@ -12,9 +12,10 @@
 // The hash operators share one grouping primitive, KeyTable: a flat
 // open-addressed table of row ids over a BindingTable's key columns, with
 // no per-key allocation. Joins probe it, Distinct keeps each group's first
-// row and GroupCount aggregates per group. Its charges are the operators'
-// own fixed tariffs (per join build row, per group, per distinct value),
-// not the table's bytes.
+// row and GroupCount aggregates per group. A join charges its fixed tariff
+// per build row; Distinct and GroupCount charge each table's per-row bytes
+// before building it, and GroupCount adds its tariffs per group and per
+// distinct value.
 
 #include "exec/operators.h"
 
@@ -179,6 +180,9 @@ class KeyTable {
     }
   }
 
+  /// Bytes the table holds per input row: its group id and its row id.
+  static constexpr size_t kBytesPerRow = 2 * sizeof(uint32_t);
+
   size_t num_groups() const { return firsts_.size(); }
   uint32_t group(size_t r) const { return group_of_[r]; }
   /// The first row of group `g`, whose key values stand for the group's.
@@ -259,6 +263,16 @@ KeyTable BuildJoinTable(const BindingTable& build, const std::vector<int>& key,
                    (2 * sizeof(size_t) + key.size() * sizeof(TermId)));
   }
   return KeyTable(build, key, ctx);
+}
+
+/// A DISTINCT or GROUP BY table. The query's memory budget is charged
+/// first for the table's per-row bytes.
+KeyTable BuildGroupTable(const BindingTable& in, std::vector<int> key,
+                         QueryContext* ctx) {
+  if (MemoryBudget* budget = BudgetScope::Current()) {
+    budget->Charge(in.num_rows() * KeyTable::kBytesPerRow);
+  }
+  return KeyTable(in, std::move(key), ctx);
 }
 
 /// The scan body without schema setup or end-of-scan accounting: appends
@@ -670,7 +684,7 @@ BindingTable Distinct(const BindingTable& in, QueryContext* ctx) {
   // Keeps the first row of each group of identical rows, in row order.
   std::vector<int> all(in.num_cols());
   std::iota(all.begin(), all.end(), 0);
-  const KeyTable table(in, std::move(all), ctx);
+  const KeyTable table = BuildGroupTable(in, std::move(all), ctx);
   const size_t rows = in.num_rows();
   std::vector<SelVector> sel(kBatchRows);
   Batch batch;
@@ -980,11 +994,12 @@ BindingTable GroupCount(const BindingTable& in,
 
   // Hash aggregation: one key table over the grouping columns, plus, per
   // COUNT(DISTINCT), one over the grouping and argument columns (every
-  // column for DISTINCT *) whose groups are the distinct values. The
-  // budget is charged in row order as each group and each distinct value
-  // first appears. Groups are key-sorted at the end, so the output row
-  // order is deterministic across engines regardless of input row order.
-  const KeyTable groups(in, key_cols, ctx);
+  // column for DISTINCT *) whose groups are the distinct values. Beyond
+  // the tables' per-row bytes, the budget is charged in row order as each
+  // group and each distinct value first appears. Groups are key-sorted at
+  // the end, so the output row order is deterministic across engines
+  // regardless of input row order.
+  const KeyTable groups = BuildGroupTable(in, key_cols, ctx);
   std::vector<std::optional<KeyTable>> values(aggregates.size());
   for (size_t a = 0; a < aggregates.size(); ++a) {
     if (!aggregates[a].distinct) continue;
@@ -996,7 +1011,7 @@ BindingTable GroupCount(const BindingTable& in,
         cols.push_back(static_cast<int>(c));
       }
     }
-    values[a].emplace(in, std::move(cols), ctx);
+    values[a].emplace(BuildGroupTable(in, std::move(cols), ctx));
   }
   // With no grouping keys, aggregation over an empty input still produces
   // the single all-zero group (SPARQL: COUNT over zero solutions is 0).

@@ -1,8 +1,9 @@
 // RDF term model (Sec. II of the paper): IRIs, blank nodes and literals.
 //
 // Terms exist at the system boundary only — the parsers produce them and
-// the Dictionary interns their canonical text. Inside the engine every term
-// is a dense uint32 id; query processing never touches strings. Result
+// the Dictionary interns their canonical text (N-Triples loads skip the
+// Term and intern the scanner's canonical views). Inside the engine every
+// term is a dense uint32 id; query processing never touches strings. Result
 // writers and ORDER BY keys read the stored canonical bytes through a
 // TermView instead of rebuilding a Term per cell.
 

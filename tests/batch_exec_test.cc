@@ -759,14 +759,14 @@ TEST(BudgetTest, OperatorChargeTotalsArePinned) {
       {"optional nested loop",
        [&] { LeftOuterJoin(null_left, right, nullptr); }, 1048576},
       {"scan", [&] { ScanPattern(triples, p, nullptr); }, 65536},
-      {"distinct", [&] { Distinct(wide); }, 16384},
+      {"distinct", [&] { Distinct(wide); }, 36384},
       {"order by", [&] { OrderBy(wide, {{"b", false}}, dict, nullptr); },
        63776},
       {"group count",
        [&] {
          GroupCount(wide, {"a"}, {count_star, count_distinct_b}, nullptr);
        },
-       5404},
+       45404},
   };
   for (const Case& c : cases) {
     uint64_t total;
@@ -787,6 +787,27 @@ TEST(BudgetTest, OperatorChargeTotalsArePinned) {
       BudgetScope scope(&below_wall);
       EXPECT_THROW(c.run(), BudgetExceededError) << c.what;
     }
+  }
+}
+
+TEST(BudgetTest, GroupingKeyTablesAreChargedBeforeTheBuild) {
+  // DISTINCT and GROUP BY charge their key table's 8 bytes per input row
+  // up front, so a budget below one table's footprint stops the operator
+  // even though its output would fit.
+  BindingTable wide = RandTable({"a", "b", "c"}, 2500, 9, 11);
+  const uint64_t table_bytes = 2500 * 8;
+  Aggregate count_star{Aggregate::Kind::kCount, false, "", "n"};
+  {
+    MemoryBudget budget(table_bytes - 1);
+    BudgetScope scope(&budget);
+    EXPECT_THROW(Distinct(wide), BudgetExceededError);
+    EXPECT_EQ(budget.charged(), 0u);
+  }
+  {
+    MemoryBudget budget(table_bytes - 1);
+    BudgetScope scope(&budget);
+    EXPECT_THROW(GroupCount(wide, {"a"}, {count_star}, nullptr),
+                 BudgetExceededError);
   }
 }
 

@@ -1,10 +1,12 @@
 // Replays the checked-in fuzzer regression corpus through the same entry
 // points the fuzz targets exercise (parse, and round-trip when accepted;
-// for N-Triples also result rendering against the reference writer).
+// for N-Triples also the load-path differential and result rendering
+// against the reference writer).
 // Inputs under tests/data/fuzz_regressions/ came from fuzz runs — corpus
-// samples plus any past crashers — so this is the always-on, plain-ctest
-// guard that once-found parser bugs stay fixed even in builds that never
-// run a fuzzer.
+// samples plus any past crashers — except ntriples/edge_cases.nt, written
+// by hand (tests/ntriples_load_test.cc reads it too); so this is the
+// always-on, plain-ctest guard that once-found parser bugs stay fixed even
+// in builds that never run a fuzzer.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "load_differential.h"
 #include "rdf/ntriples.h"
 #include "reference_results.h"
 #include "server/http.h"
@@ -51,6 +54,8 @@ TEST(FuzzRegressionTest, NTriplesCorpusReplays) {
   for (const fs::path& f : files) {
     SCOPED_TRACE(f.filename().string());
     std::string text = ReadFile(f);
+    // Both load paths accept, reject and intern alike.
+    EXPECT_EQ(testload::DiffLoadPaths(text), "");
     auto parsed = ParseNTriplesToVector(text);  // must not crash
     if (!parsed.ok()) continue;
     Dictionary dict;
