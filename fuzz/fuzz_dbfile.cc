@@ -7,9 +7,10 @@
 // quarantine-based OpenSalvage() mode. Every section a successful open
 // serves is fully read, so a TOC entry pointing outside the mapping would
 // surface under ASan. A file the reader accepts also goes through
-// Database::Open and OpenMapped, resident and paged (which adopt or
-// convert each table image and check it against its index), and an opened
-// database runs one query that scans every CS and ECS partition.
+// Database::Open and OpenMapped, resident and paged (which copy, convert
+// or — paged and mapped — borrow each table image and check it against
+// its index), and an opened database runs one query that scans every CS
+// and ECS partition.
 
 #include <unistd.h>
 

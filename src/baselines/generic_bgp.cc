@@ -35,6 +35,28 @@ bool SharesVar(const std::vector<std::string>& bound_vars,
 
 }  // namespace
 
+BindingTable ScanRange(const TripleSource& table, const RowRange& range,
+                       const IdPattern& pattern, ExecStats* stats,
+                       QueryContext* ctx) {
+  AccountSimulatedPages({&range, 1}, stats);
+  PatternScanner scanner(pattern);
+  table.Scan(range, [&](std::span<const Triple> chunk, uint64_t) {
+    scanner.Feed(chunk, stats, ctx);
+  });
+  return scanner.Finish(stats);
+}
+
+AccessPath RangeAccessPath(const TripleSource& table, const RowRange& range,
+                           const IdPattern& pattern) {
+  AccessPath path;
+  path.estimated_rows = range.size();
+  path.materialize = [&table, range, pattern](ExecStats* stats,
+                                              QueryContext* ctx) {
+    return ScanRange(table, range, pattern, stats, ctx);
+  };
+  return path;
+}
+
 Result<std::vector<IdPattern>> BindPatterns(const SelectQuery& query,
                                             const Dictionary& dict,
                                             bool* empty_result) {

@@ -8,10 +8,7 @@ SixPermEngine SixPermEngine::Build(const Dataset& dataset) {
   SixPermEngine e;
   e.dict_ = &dataset.dict;
   for (size_t i = 0; i < kAllPermutations.size(); ++i) {
-    e.tables_[i].Reserve(dataset.triples.size());
-    for (const Triple& t : dataset.triples) e.tables_[i].Append(t);
-    e.tables_[i].Sort(kAllPermutations[i]);
-    e.tables_[i].Dedup();
+    e.tables_[i] = TripleSource::Sorted(dataset.triples, kAllPermutations[i]);
   }
   return e;
 }
@@ -33,7 +30,7 @@ Permutation SixPermEngine::ChoosePermutation(const IdPattern& p) {
 
 AccessPath SixPermEngine::MakeAccessPath(const IdPattern& p) const {
   Permutation perm = ChoosePermutation(p);
-  const TripleTable& table = tables_[static_cast<size_t>(perm)];
+  const TripleSource& table = tables_[static_cast<size_t>(perm)];
   // Bound components in the permutation's key order form the probe prefix.
   auto key = PermutationKey(perm, Triple{p.s, p.p, p.o});
   TermId major = key[0];
@@ -41,15 +38,9 @@ AccessPath SixPermEngine::MakeAccessPath(const IdPattern& p) const {
   TermId minor = (major != kInvalidId && mid != kInvalidId) ? key[2]
                                                             : kInvalidId;
   RowRange range = major == kInvalidId
-                       ? RowRange{0, table.size()}
-                       : table.EqualRange(perm, major, mid, minor);
-  AccessPath path;
-  path.estimated_rows = range.size();
-  path.materialize = [&table, range, p](ExecStats* stats, QueryContext* ctx) {
-    AccountSimulatedPages({&range, 1}, stats);
-    return ScanPattern(table.slice(range), p, stats, ctx);
-  };
-  return path;
+                       ? table.all()
+                       : table.EqualRange(table.all(), perm, major, mid, minor);
+  return RangeAccessPath(table, range, p);
 }
 
 Result<QueryResult> SixPermEngine::Execute(const SelectQuery& query,
@@ -64,7 +55,7 @@ Result<QueryResult> SixPermEngine::Execute(const SelectQuery& query,
 
 uint64_t SixPermEngine::StorageBytes() const {
   uint64_t total = 0;
-  for (const TripleTable& t : tables_) total += t.ByteSize();
+  for (const TripleSource& t : tables_) total += t.StoredBytes();
   return total;
 }
 

@@ -91,16 +91,18 @@ class Database : public QueryEngine {
   static Result<Database> Open(const std::string& path,
                                EngineOptions options = {});
 
-  /// Like Open(), but a table whose image already matches the requested
-  /// mode is served directly from the memory-mapped file — zero copy, the
-  /// paper's Sec. III.A "backed by a memory mapped file" read path. The
-  /// mapping stays alive for the lifetime of the returned Database when
-  /// some table borrows it. Query results are identical to Open(); only
-  /// the residency of the tables differs.
+  /// Like Open(), but in paged mode a table whose image is already paged
+  /// serves its compressed pages directly from the memory-mapped file —
+  /// zero copy, the paper's Sec. III.A "backed by a memory mapped file"
+  /// read path. The mapping stays alive for the lifetime of the returned
+  /// Database when some table borrows it. Resident tables copy their rows,
+  /// as Open() does. Query results are identical to Open(); only the
+  /// residency of the compressed pages differs.
   static Result<Database> OpenMapped(const std::string& path,
                                      EngineOptions options = {});
 
-  /// True when some triple table borrows its bytes from the mapped file.
+  /// True when some paged triple table borrows its bytes from the mapped
+  /// file.
   bool is_mapped() const { return mapped_file_ != nullptr; }
 
   /// True when the SPO/PSO tables are compressed paged tables behind the

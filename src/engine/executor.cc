@@ -459,7 +459,8 @@ BindingTable Executor::RunStep(const QueryGraph& qg, const Step& step,
   for (size_t si = 0; si < step.scans.size(); ++si) {
     const Scan& scan = step.scans[si];
     // A bound subject reads only its own rows: one binary search per run
-    // of its own partition; the other partitions hold none of them.
+    // of its own partition (a run has one predicate and is sorted by
+    // (S, O)); the other partitions hold none of them.
     const std::vector<Unit>* plan_units = &scan.units;
     std::vector<Unit> narrowed;
     if (node != nullptr && !node->is_variable) {
@@ -468,9 +469,10 @@ BindingTable Executor::RunStep(const QueryGraph& qg, const Step& step,
       plan_units = &narrowed;
       for (Unit& unit : narrowed) {
         for (PropertyRun& run : unit.runs) {
-          run.rows = own == unit.cs ? cs_->spo().EqualRangeBySubject(
-                                          run.rows, node->bound_id)
-                                    : RowRange{};
+          run.rows = own == unit.cs
+                         ? cs_->spo().EqualRange(run.rows, Permutation::kSpo,
+                                                 node->bound_id)
+                         : RowRange{};
         }
       }
     }

@@ -148,7 +148,7 @@ TEST_F(CsIndexFig1Test, SubjectRangeFindsStars) {
   CsId s2 = CsOf("Jack");
   uint64_t found = 0;
   for (const auto& [p, run] : index_.directory().Runs(s2)) {
-    RowRange r = index_.spo().EqualRangeBySubject(run, Id("Jack"));
+    RowRange r = index_.spo().EqualRange(run, Permutation::kSpo, Id("Jack"));
     EXPECT_EQ(r, run);  // Jack is the CS's only subject
     for (const Triple& t : testutil::RowsOf(index_.spo(), r)) {
       EXPECT_EQ(t.s, Id("Jack"));
@@ -156,7 +156,8 @@ TEST_F(CsIndexFig1Test, SubjectRangeFindsStars) {
     }
     found += r.size();
     // John is in S1, so no run of S2 holds him.
-    EXPECT_TRUE(index_.spo().EqualRangeBySubject(run, Id("John")).empty());
+    EXPECT_TRUE(
+        index_.spo().EqualRange(run, Permutation::kSpo, Id("John")).empty());
   }
   EXPECT_EQ(found, 5u);
   EXPECT_TRUE(index_.directory().Run(s2, Id("position")).empty());

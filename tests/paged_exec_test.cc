@@ -316,8 +316,8 @@ TEST(PagedExecTest, SubjectSeeksMatchResidentOnEveryRun) {
       subjects.push_back(lo);
       subjects.push_back(hi);
       for (TermId s : subjects) {
-        const RowRange want = rows.EqualRangeBySubject(run, s);
-        EXPECT_EQ(pages.EqualRangeBySubject(run, s), want)
+        const RowRange want = rows.EqualRange(run, Permutation::kSpo, s);
+        EXPECT_EQ(pages.EqualRange(run, Permutation::kSpo, s), want)
             << "cs " << cs.id.value() << " subject " << s.value();
         ++seeks;
       }

@@ -148,43 +148,58 @@ TEST_F(PersistenceTest, MappedOpenServesTablesZeroCopy) {
   LubmConfig cfg;
   cfg.num_universities = 1;
   Dataset data = GenerateLubmDataset(cfg);
-  auto built = Database::Build(data);
+  EngineOptions paged;
+  paged.use_paged_storage = true;
+  auto built = Database::Build(data, paged);
   ASSERT_TRUE(built.ok());
   ASSERT_TRUE(built.value().Save(path_).ok());
 
-  auto mapped = Database::OpenMapped(path_);
+  auto mapped = Database::OpenMapped(path_, paged);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_TRUE(mapped.value().is_mapped());
-  // The tables really are borrowed views over the mapping (sections are
-  // 8-byte aligned, so no copy fallback).
+  // The paged tables really are borrowed views over the mapping.
   EXPECT_TRUE(mapped.value().cs_index().spo().borrowed());
   EXPECT_TRUE(mapped.value().ecs_index().pso().borrowed());
 
-  auto copied = Database::Open(path_);
+  auto copied = Database::Open(path_, paged);
   ASSERT_TRUE(copied.ok());
   EXPECT_FALSE(copied.value().is_mapped());
   EXPECT_FALSE(copied.value().cs_index().spo().borrowed());
 
-  // Identical answers from both residencies, across workload queries.
+  // Resident tables own their rows, mapped or not.
+  auto resident = Database::OpenMapped(path_);
+  ASSERT_TRUE(resident.ok()) << resident.status().ToString();
+  EXPECT_FALSE(resident.value().is_mapped());
+  EXPECT_FALSE(resident.value().cs_index().spo().borrowed());
+
+  // Identical answers from every residency, across workload queries.
   for (const WorkloadQuery& wq : LubmOriginalWorkload().queries) {
     auto r1 = mapped.value().ExecuteSparql(wq.sparql);
     auto r2 = copied.value().ExecuteSparql(wq.sparql);
+    auto r3 = resident.value().ExecuteSparql(wq.sparql);
     ASSERT_TRUE(r1.ok()) << wq.name;
     ASSERT_TRUE(r2.ok()) << wq.name;
+    ASSERT_TRUE(r3.ok()) << wq.name;
     auto proj = r1.value().table.vars();
     EXPECT_EQ(r1.value().table.CanonicalRows(proj),
               r2.value().table.CanonicalRows(proj))
+        << wq.name;
+    EXPECT_EQ(r1.value().table.CanonicalRows(proj),
+              r3.value().table.CanonicalRows(proj))
         << wq.name;
   }
 }
 
 TEST_F(PersistenceTest, MappedDatabaseSurvivesMove) {
   Dataset data = testutil::Fig1Dataset();
-  auto built = Database::Build(data);
+  EngineOptions paged;
+  paged.use_paged_storage = true;
+  auto built = Database::Build(data, paged);
   ASSERT_TRUE(built.ok());
   ASSERT_TRUE(built.value().Save(path_).ok());
-  auto mapped = Database::OpenMapped(path_);
+  auto mapped = Database::OpenMapped(path_, paged);
   ASSERT_TRUE(mapped.ok());
+  ASSERT_TRUE(mapped.value().is_mapped());
   // Move the database: the shared mapping moves with it, so borrowed
   // views stay valid.
   Database moved = std::move(mapped).ValueOrDie();
@@ -473,9 +488,9 @@ TEST_F(PersistenceTest, CrossModeOpensAnswerLikeResident) {
         ASSERT_TRUE(opened.ok()) << opened.status().ToString();
         const Database& db = opened.value();
         EXPECT_EQ(db.is_paged(), open_paged);
-        // The mapping is kept only when an image was adopted, not
-        // converted.
-        EXPECT_EQ(db.is_mapped(), mapped && save_paged == open_paged);
+        // The mapping is kept only when a paged image was adopted, not
+        // converted or copied.
+        EXPECT_EQ(db.is_mapped(), mapped && save_paged && open_paged);
         const Database& same_mode =
             open_paged ? paged.value() : resident.value();
         EXPECT_EQ(db.StorageBytes(), same_mode.StorageBytes());
@@ -648,7 +663,7 @@ TEST_F(PersistenceTest, ParentPagedLayoutOpensInBothModes) {
                    (mapped ? " mapped" : ""));
       auto opened = OpenIn(path_, open_paged, mapped);
       ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-      EXPECT_EQ(opened.value().is_mapped(), mapped);
+      EXPECT_EQ(opened.value().is_mapped(), mapped && open_paged);
       const Database& same_mode =
           open_paged ? paged.value() : resident.value();
       EXPECT_EQ(opened.value().StorageBytes(), same_mode.StorageBytes());
