@@ -12,10 +12,9 @@
 // The hash operators share one grouping primitive, KeyTable: a flat
 // open-addressed table of row ids over a BindingTable's key columns, with
 // no per-key allocation. Joins probe it, Distinct keeps each group's first
-// row and GroupCount aggregates per group. A join charges its fixed tariff
-// per build row; Distinct and GroupCount charge each table's per-row bytes
-// before building it, and GroupCount adds its tariffs per group and per
-// distinct value.
+// row and GroupCount aggregates per group. Every KeyTable charges the
+// memory budget for its own bytes before allocating them, and GroupCount
+// adds its tariffs per group and per distinct value.
 
 #include "exec/operators.h"
 
@@ -137,51 +136,63 @@ constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
 /// grouped by the values of zero, one or many key columns. The build
 /// (1) gives each row a dense group id, in order of first appearance,
 /// through an open-addressed power-of-two array of the groups' first rows,
-/// whose keys are hashed and compared in place and which doubles whenever
-/// it is half full, (2) counts each group's rows into prefix-sum offsets
-/// and (3) scatters the row ids into one array, in row order within each
-/// group. Joins probe it, DISTINCT keeps each group's first row and GROUP
-/// BY aggregates per group. The build checks for stops once per kBatchRows
-/// rows and charges nothing: each operator charges its own tariff.
+/// whose keys are hashed and compared in place and which doubles before it
+/// would pass half full, (2) counts each group's rows into prefix-sum
+/// offsets and (3) scatters the row ids into one array, in row order within
+/// each group. Joins probe it, DISTINCT keeps each group's first row and
+/// GROUP BY aggregates per group. The build checks for stops once per
+/// kBatchRows rows. It charges the query's memory budget (BudgetScope) for
+/// the table's bytes before allocating them: kBytesPerRow per input row
+/// first, then SlotBytes for each growth of the slot array, which reserves
+/// the per-group arrays along with it.
 class KeyTable {
  public:
   KeyTable(const BindingTable& t, std::vector<int> key, QueryContext* ctx)
       : data_(t.flat().data()), cols_(t.num_cols()), key_(std::move(key)) {
     const size_t rows = t.num_rows();
     assert(rows < kNoRow);
-    slots_.assign(16, kNoRow);
+    Charge(rows * kBytesPerRow);
     group_of_.resize(rows);
-    offsets_.assign(1, 0);  // offsets_[g + 1] counts group g's rows first
+    row_ids_.resize(rows);
+    Grow(16);
+    offsets_.push_back(0);  // offsets_[g + 1] counts group g's rows first
     for (size_t base = 0; base < rows; base += kBatchRows) {
       if (ctx != nullptr) ctx->CheckStop();
       const size_t end = std::min(rows, base + kBatchRows);
       for (size_t r = base; r < end; ++r) {
-        const size_t s = Slot(data_, cols_, key_, r);
+        size_t s = Slot(data_, cols_, key_, r);
         if (slots_[s] != kNoRow) {
           group_of_[r] = group_of_[slots_[s]];
         } else {
+          if (2 * (firsts_.size() + 1) > slots_.size()) {
+            Grow(2 * slots_.size());
+            s = Slot(data_, cols_, key_, r);
+          }
           slots_[s] = static_cast<uint32_t>(r);
           group_of_[r] = static_cast<uint32_t>(firsts_.size());
           firsts_.push_back(static_cast<uint32_t>(r));
           offsets_.push_back(0);
-          if (2 * firsts_.size() > slots_.size()) {
-            slots_.assign(2 * slots_.size(), kNoRow);
-            for (uint32_t f : firsts_) slots_[Slot(data_, cols_, key_, f)] = f;
-          }
         }
         ++offsets_[group_of_[r] + 1];
       }
     }
     std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
-    std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-    row_ids_.resize(rows);
+    // offsets_[g] serves as group g's cursor and ends at group g + 1's
+    // start, so shifting the offsets up one place restores them.
     for (size_t r = 0; r < rows; ++r) {
-      row_ids_[cursor[group_of_[r]]++] = static_cast<uint32_t>(r);
+      row_ids_[offsets_[group_of_[r]]++] = static_cast<uint32_t>(r);
     }
+    std::copy_backward(offsets_.begin(), offsets_.end() - 1, offsets_.end());
+    offsets_[0] = 0;
   }
 
   /// Bytes the table holds per input row: its group id and its row id.
   static constexpr size_t kBytesPerRow = 2 * sizeof(uint32_t);
+  /// Bytes of an `n`-slot array and the per-group arrays it reserves: `n`
+  /// slots, n / 2 first rows and n / 2 + 1 offsets.
+  static constexpr size_t SlotBytes(size_t n) {
+    return n == 0 ? 0 : (2 * n + 1) * sizeof(uint32_t);
+  }
 
   size_t num_groups() const { return firsts_.size(); }
   uint32_t group(size_t r) const { return group_of_[r]; }
@@ -243,6 +254,20 @@ class KeyTable {
     }
   }
 
+  static void Charge(uint64_t bytes) {
+    if (MemoryBudget* budget = BudgetScope::Current()) budget->Charge(bytes);
+  }
+
+  /// Grows the slot array to `n` slots, charged first, and re-inserts the
+  /// groups' first rows.
+  void Grow(size_t n) {
+    Charge(SlotBytes(n) - SlotBytes(slots_.size()));
+    slots_.assign(n, kNoRow);
+    firsts_.reserve(n / 2);
+    offsets_.reserve(n / 2 + 1);
+    for (uint32_t f : firsts_) slots_[Slot(data_, cols_, key_, f)] = f;
+  }
+
   const TermId* data_;
   size_t cols_;
   std::vector<int> key_;
@@ -252,28 +277,6 @@ class KeyTable {
   std::vector<uint32_t> offsets_;   // group g: row_ids_[offsets_[g], [g+1])
   std::vector<uint32_t> row_ids_;
 };
-
-/// A join's build table. The query's memory budget is charged first, at a
-/// fixed tariff per build row (two words plus the key), which does not
-/// model the table's own bytes.
-KeyTable BuildJoinTable(const BindingTable& build, const std::vector<int>& key,
-                        QueryContext* ctx) {
-  if (MemoryBudget* budget = BudgetScope::Current()) {
-    budget->Charge(build.num_rows() *
-                   (2 * sizeof(size_t) + key.size() * sizeof(TermId)));
-  }
-  return KeyTable(build, key, ctx);
-}
-
-/// A DISTINCT or GROUP BY table. The query's memory budget is charged
-/// first for the table's per-row bytes.
-KeyTable BuildGroupTable(const BindingTable& in, std::vector<int> key,
-                         QueryContext* ctx) {
-  if (MemoryBudget* budget = BudgetScope::Current()) {
-    budget->Charge(in.num_rows() * KeyTable::kBytesPerRow);
-  }
-  return KeyTable(in, std::move(key), ctx);
-}
 
 /// The scan body without schema setup or end-of-scan accounting: appends
 /// `triples`' solutions to `out` (schema = PatternVars(pattern)). Backs
@@ -515,7 +518,7 @@ BindingTable CompatJoinImpl(const BindingTable& left, const BindingTable& right,
     flush();
   } else {
     // Hash path: build on the right, probe with every left row.
-    const KeyTable table = BuildJoinTable(right, lay.right_key, ctx);
+    const KeyTable table = KeyTable(right, lay.right_key, ctx);
     for (size_t base = 0; base < left_rows; base += kBatchRows) {
       if (ctx != nullptr) ctx->CheckStop();
       const size_t n = std::min(kBatchRows, left_rows - base);
@@ -565,7 +568,7 @@ BindingTable HashJoin(const BindingTable& left, const BindingTable& right,
   BindingTable out(lay.out_vars);
   if (build.num_rows() == 0 || probe.num_rows() == 0) return out;
 
-  const KeyTable table = BuildJoinTable(build, lay.build_key, ctx);
+  const KeyTable table = KeyTable(build, lay.build_key, ctx);
 
   // Probe per block, buffering (probe row, build row) match pairs, then
   // materialize them in <= kBatchRows column-gather chunks.
@@ -684,7 +687,7 @@ BindingTable Distinct(const BindingTable& in, QueryContext* ctx) {
   // Keeps the first row of each group of identical rows, in row order.
   std::vector<int> all(in.num_cols());
   std::iota(all.begin(), all.end(), 0);
-  const KeyTable table = BuildGroupTable(in, std::move(all), ctx);
+  const KeyTable table = KeyTable(in, std::move(all), ctx);
   const size_t rows = in.num_rows();
   std::vector<SelVector> sel(kBatchRows);
   Batch batch;
@@ -995,11 +998,11 @@ BindingTable GroupCount(const BindingTable& in,
   // Hash aggregation: one key table over the grouping columns, plus, per
   // COUNT(DISTINCT), one over the grouping and argument columns (every
   // column for DISTINCT *) whose groups are the distinct values. Beyond
-  // the tables' per-row bytes, the budget is charged in row order as each
+  // the tables' own bytes, the budget is charged in row order as each
   // group and each distinct value first appears. Groups are key-sorted at
   // the end, so the output row order is deterministic across engines
   // regardless of input row order.
-  const KeyTable groups = BuildGroupTable(in, key_cols, ctx);
+  const KeyTable groups = KeyTable(in, key_cols, ctx);
   std::vector<std::optional<KeyTable>> values(aggregates.size());
   for (size_t a = 0; a < aggregates.size(); ++a) {
     if (!aggregates[a].distinct) continue;
@@ -1011,7 +1014,7 @@ BindingTable GroupCount(const BindingTable& in,
         cols.push_back(static_cast<int>(c));
       }
     }
-    values[a].emplace(BuildGroupTable(in, std::move(cols), ctx));
+    values[a].emplace(in, std::move(cols), ctx);
   }
   // With no grouping keys, aggregation over an empty input still produces
   // the single all-zero group (SPARQL: COUNT over zero solutions is 0).

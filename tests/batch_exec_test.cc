@@ -751,22 +751,22 @@ TEST(BudgetTest, OperatorChargeTotalsArePinned) {
     uint64_t golden;
   };
   const std::vector<Case> cases = {
-      {"hash join", [&] { HashJoin(left, right, nullptr); }, 546288},
+      {"hash join", [&] { HashJoin(left, right, nullptr); }, 534116},
       {"optional hash path", [&] { LeftOuterJoin(left, right, nullptr); },
-       546288},
+       534116},
       {"compat join nested loop",
        [&] { CompatJoin(null_left, right, nullptr); }, 1048576},
       {"optional nested loop",
        [&] { LeftOuterJoin(null_left, right, nullptr); }, 1048576},
       {"scan", [&] { ScanPattern(triples, p, nullptr); }, 65536},
-      {"distinct", [&] { Distinct(wide); }, 36384},
+      {"distinct", [&] { Distinct(wide); }, 52772},
       {"order by", [&] { OrderBy(wide, {{"b", false}}, dict, nullptr); },
        63776},
       {"group count",
        [&] {
          GroupCount(wide, {"a"}, {count_star, count_distinct_b}, nullptr);
        },
-       45404},
+       47716},
   };
   for (const Case& c : cases) {
     uint64_t total;
@@ -792,8 +792,8 @@ TEST(BudgetTest, OperatorChargeTotalsArePinned) {
 
 TEST(BudgetTest, GroupingKeyTablesAreChargedBeforeTheBuild) {
   // DISTINCT and GROUP BY charge their key table's 8 bytes per input row
-  // up front, so a budget below one table's footprint stops the operator
-  // even though its output would fit.
+  // before anything else, so a budget below that stops the operator even
+  // though its output would fit.
   BindingTable wide = RandTable({"a", "b", "c"}, 2500, 9, 11);
   const uint64_t table_bytes = 2500 * 8;
   Aggregate count_star{Aggregate::Kind::kCount, false, "", "n"};
@@ -808,6 +808,33 @@ TEST(BudgetTest, GroupingKeyTablesAreChargedBeforeTheBuild) {
     BudgetScope scope(&budget);
     EXPECT_THROW(GroupCount(wide, {"a"}, {count_star}, nullptr),
                  BudgetExceededError);
+  }
+}
+
+TEST(BudgetTest, JoinKeyTableChargesItsRealBytes) {
+  // A join's build table charges its own bytes: 8 per build row (group id
+  // and row id), then 4 per slot plus 4 per reserved first row and offset
+  // at each doubling of the slot array. 1000 distinct keys need 2048 slots
+  // (the array stays at most half full), so the table holds
+  // 1000 * 8 + (2048 + 1024 + 1025) * 4 bytes. No probe key matches, so
+  // the join charges nothing else.
+  BindingTable build({"k"});
+  BindingTable probe({"k", "b"});
+  for (uint32_t i = 0; i < 1000; ++i) {
+    build.AppendRow({TermId(1 + i)});
+    probe.AppendRow({TermId(5001 + i), TermId(1)});
+  }
+  const uint64_t table_bytes = 1000 * 8 + (2048 + 1024 + 1025) * 4;
+  {
+    MemoryBudget budget(table_bytes);
+    BudgetScope scope(&budget);
+    EXPECT_EQ(HashJoin(build, probe, nullptr).num_rows(), 0u);
+    EXPECT_EQ(budget.charged(), table_bytes);
+  }
+  {
+    MemoryBudget budget(table_bytes - 1);
+    BudgetScope scope(&budget);
+    EXPECT_THROW(HashJoin(build, probe, nullptr), BudgetExceededError);
   }
 }
 
