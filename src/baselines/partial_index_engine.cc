@@ -18,26 +18,18 @@ AccessPath PartialIndexEngine::MakeAccessPath(const IdPattern& p) const {
     if (p.o_bound()) {
       // POS prefix covers (P, O [, S]).
       return RangeAccessPath(
-          pos_,
-          pos_.EqualRange(pos_.all(), Permutation::kPos, p.p, p.o,
-                          p.s_bound() ? p.s : kInvalidId),
+          pos_, pos_.EqualRange(pos_.all(), Permutation::kPos, p.p, p.o, p.s),
           p);
     }
     // PSO prefix covers (P [, S]).
     return RangeAccessPath(
-        pso_,
-        pso_.EqualRange(pso_.all(), Permutation::kPso, p.p,
-                        p.s_bound() ? p.s : kInvalidId),
-        p);
+        pso_, pso_.EqualRange(pso_.all(), Permutation::kPso, p.p, p.s), p);
   }
   if (p.s_bound()) {
     // Partial SP index: subject-major probe; the O component is covered
     // when bound, P never is (post-filtered by the scan).
     return RangeAccessPath(
-        sop_,
-        sop_.EqualRange(sop_.all(), Permutation::kSop, p.s,
-                        p.o_bound() ? p.o : kInvalidId),
-        p);
+        sop_, sop_.EqualRange(sop_.all(), Permutation::kSop, p.s, p.o), p);
   }
   if (p.o_bound()) {
     // No object-major full index: fall back to a full scan of POS and

@@ -32,15 +32,9 @@ AccessPath SixPermEngine::MakeAccessPath(const IdPattern& p) const {
   Permutation perm = ChoosePermutation(p);
   const TripleSource& table = tables_[static_cast<size_t>(perm)];
   // Bound components in the permutation's key order form the probe prefix.
-  auto key = PermutationKey(perm, Triple{p.s, p.p, p.o});
-  TermId major = key[0];
-  TermId mid = major != kInvalidId ? key[1] : kInvalidId;
-  TermId minor = (major != kInvalidId && mid != kInvalidId) ? key[2]
-                                                            : kInvalidId;
-  RowRange range = major == kInvalidId
-                       ? table.all()
-                       : table.EqualRange(table.all(), perm, major, mid, minor);
-  return RangeAccessPath(table, range, p);
+  const auto key = PermutationKey(perm, Triple{p.s, p.p, p.o});
+  return RangeAccessPath(
+      table, table.EqualRange(table.all(), perm, key[0], key[1], key[2]), p);
 }
 
 Result<QueryResult> SixPermEngine::Execute(const SelectQuery& query,

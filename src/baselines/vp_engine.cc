@@ -39,8 +39,7 @@ AccessPath VpEngine::MakeAccessPath(const IdPattern& p) const {
     const TripleSource& t = chunk.by_subject;
     return RangeAccessPath(
         t,
-        p.s_bound() ? t.EqualRange(t.all(), Permutation::kSpo, p.s, p.p,
-                                   p.o_bound() ? p.o : kInvalidId)
+        p.s_bound() ? t.EqualRange(t.all(), Permutation::kSpo, p.s, p.p, p.o)
                     : t.all(),
         p);
   }
@@ -53,10 +52,9 @@ AccessPath VpEngine::MakeAccessPath(const IdPattern& p) const {
     (void)pred;
     const bool by_object = p.o_bound() && !p.s_bound();
     const TripleSource& t = by_object ? chunk.by_object : chunk.by_subject;
-    const RowRange r =
-        by_object    ? t.EqualRange(t.all(), Permutation::kOps, p.o)
-        : p.s_bound() ? t.EqualRange(t.all(), Permutation::kSpo, p.s)
-                      : t.all();
+    const RowRange r = by_object
+                           ? t.EqualRange(t.all(), Permutation::kOps, p.o)
+                           : t.EqualRange(t.all(), Permutation::kSpo, p.s);
     pieces.emplace_back(&t, r);
     estimate += r.size();
   }

@@ -35,6 +35,7 @@
 #include <string_view>
 #include <vector>
 
+#include "rdf/triple.h"
 #include "storage/buffer_manager.h"
 #include "storage/page_codec.h"
 

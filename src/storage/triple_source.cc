@@ -131,15 +131,13 @@ void TripleSource::Scan(const RowRange& r, const ChunkFn& fn) const {
 RowRange TripleSource::EqualRange(const RowRange& within, Permutation perm,
                                   TermId major, TermId mid,
                                   TermId minor) const {
-  // Probe keys: bound components fixed, unbound ones spanning every id.
-  constexpr TermId kMinTerm{0};
-  constexpr TermId kMaxTerm{UINT32_MAX};
-  const std::array<TermId, 3> lo_key = {
-      major, mid == kInvalidId ? kMinTerm : mid,
-      minor == kInvalidId ? kMinTerm : minor};
-  const std::array<TermId, 3> hi_key = {
-      major, mid == kInvalidId ? kMaxTerm : mid,
-      minor == kInvalidId ? kMaxTerm : minor};
+  // Probe keys: an unbound component is kInvalidId, the smallest id, in
+  // the low key and the largest id in the high key.
+  const std::array<TermId, 3> lo_key = {major, mid, minor};
+  std::array<TermId, 3> hi_key = lo_key;
+  for (TermId& id : hi_key) {
+    if (id == kInvalidId) id = TermId(UINT32_MAX);
+  }
   auto below = [&](const Triple& t) { return PermutationKey(perm, t) < lo_key; };
   auto not_above = [&](const Triple& t) {
     return !(hi_key < PermutationKey(perm, t));

@@ -26,7 +26,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "storage/buffer_manager.h"
@@ -125,7 +124,8 @@ class TripleSource {
   /// Binary-searches the rows of `within`, sorted by `perm`, for the
   /// subrange whose key starts with the bound components of (`major`,
   /// `mid`, `minor`). kInvalidId marks an unbound component; the bound
-  /// ones must form a prefix of the key, `major` at least. A property run of a CS
+  /// ones must form a prefix of the key (none bound: all of `within`).
+  /// A property run of a CS
   /// partition has one predicate and is sorted by (S, O), so
   /// EqualRange(run, Permutation::kSpo, s) finds subject s in it. Paged
   /// searches decode single rows without the buffer manager. Throws

@@ -251,7 +251,7 @@ TEST(TripleTableTest, SortAndDedup) {
 }
 
 // EqualRange in both storage modes against a linear scan, over the whole
-// table and over sub-ranges, with one, two and three bound components.
+// table and over sub-ranges, with zero to three bound components.
 // Ids are drawn from 1..19 plus UINT32_MAX - 1, the extremes of the id
 // space; probes also use 20, an id no row holds.
 class TripleTablePermutationTest
@@ -272,7 +272,7 @@ TEST_P(TripleTablePermutationTest, EqualRangeMatchesLinearScan) {
   ASSERT_EQ(paged.num_rows(), sorted.size());
 
   for (int trial = 0; trial < 200; ++trial) {
-    const int bound = 1 + trial % 3;
+    const int bound = trial % 4;
     std::array<TermId, 3> probe = {id(21), id(8), id(21)};
     for (int k = bound; k < 3; ++k) probe[k] = kInvalidId;
     RowRange within = resident.all();
@@ -319,6 +319,7 @@ TEST(TripleTableTest, EqualRangeOnEmptyAndOneRowTables) {
       SCOPED_TRACE(PermutationName(perm));
       const std::array<TermId, 3> key = PermutationKey(perm, row);
       EXPECT_EQ(empty.EqualRange(empty.all(), perm, key[0]), RowRange{});
+      EXPECT_EQ(one.EqualRange(one.all(), perm, kInvalidId), (RowRange{0, 1}));
       EXPECT_EQ(one.EqualRange(one.all(), perm, key[0]), (RowRange{0, 1}));
       EXPECT_EQ(one.EqualRange(one.all(), perm, key[0], key[1]),
                 (RowRange{0, 1}));
