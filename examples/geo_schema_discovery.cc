@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "datagen/geonames_generator.h"
+#include "ecs/ecs_hierarchy.h"
 #include "engine/database.h"
 
 int main() {
@@ -80,8 +81,12 @@ int main() {
         db.statistics().MultiplicationFactorOs(id));
   }
 
-  // --- The specialization hierarchy (Sec. III.D).
-  const EcsHierarchy& h = db.hierarchy();
+  // --- The specialization hierarchy (Sec. III.D), rebuilt from the
+  // indexed sets: the database keeps only its pre-order, as the PSO
+  // storage order.
+  const EcsHierarchy h = EcsHierarchy::Build(
+      {ecs.sets().begin(), ecs.sets().end()},
+      {cs.sets().begin(), cs.sets().end()});
   size_t root_count = h.Roots().size();
   size_t with_children = 0;
   size_t max_children = 0;

@@ -46,11 +46,17 @@ struct ExecStats {
   /// in-memory substrate cannot show the disk locality the ECS-hierarchy
   /// layout buys; this metric can — fewer distinct pages when matched ECS
   /// families are stored adjacent). Paged mode: the *real* frame loads the
-  /// buffer manager performed for this query, which depend on cache state.
+  /// buffer manager performed for this query, for scans and seeks alike,
+  /// which depend on cache state. At parallelism > 1 they also depend on
+  /// how the workers interleave on the shared pool, so one query sequence
+  /// on one build can report different paged counts from run to run; the
+  /// paging differential (PagedDifferentialTest) compares every other
+  /// field and masks this one and pages_evicted.
   uint64_t pages_read = 0;
   /// Frames the buffer manager evicted during this query. Always 0 in
   /// resident mode; nonzero in paged mode once the working set exceeds the
-  /// frame pool (the scale-smoke gate asserts this).
+  /// frame pool (the scale-smoke gate asserts this). Paged, it varies with
+  /// worker interleaving as pages_read does.
   uint64_t pages_evicted = 0;
   /// 1 when this result was answered by the baseline fallback engine after
   /// the primary failed (GovernedEngine); summed across sub-results.

@@ -32,35 +32,26 @@ void PutComponentDelta(std::string* out, TermId cur, TermId prev) {
                                 static_cast<int64_t>(prev.value())));
 }
 
-/// Decodes one row at `*p`: absolute components for a restart row, zigzag
-/// deltas against `*prev` otherwise. Advances *p and *prev. nullptr on any
-/// bounds or range violation.
-const char* DecodeRow(const char* p, const char* limit, bool restart,
-                      Triple* prev) {
-  uint32_t abs_comp[3];
-  if (restart) {
-    for (auto& c : abs_comp) {
-      p = GetVarint32(p, limit, &c);
-      if (p == nullptr) return nullptr;
-    }
-  } else {
-    const uint32_t prev_comp[3] = {prev->s.value(), prev->p.value(),
-                                   prev->o.value()};
-    for (int i = 0; i < 3; ++i) {
-      uint64_t zz = 0;
-      p = GetVarint64(p, limit, &zz);
-      if (p == nullptr) return nullptr;
-      int64_t v = static_cast<int64_t>(prev_comp[i]) + ZigzagDecode(zz);
-      if (v < 0 || v > static_cast<int64_t>(UINT32_MAX)) return nullptr;
-      abs_comp[i] = static_cast<uint32_t>(v);
-    }
+/// Decodes one row at `*p`: three zigzag deltas against `*prev`. Advances
+/// *p and *prev. nullptr on any bounds or range violation.
+const char* DecodeRow(const char* p, const char* limit, Triple* prev) {
+  const uint32_t prev_comp[3] = {prev->s.value(), prev->p.value(),
+                                 prev->o.value()};
+  uint32_t comp[3];
+  for (int i = 0; i < 3; ++i) {
+    uint64_t zz = 0;
+    p = GetVarint64(p, limit, &zz);
+    if (p == nullptr) return nullptr;
+    int64_t v = static_cast<int64_t>(prev_comp[i]) + ZigzagDecode(zz);
+    if (v < 0 || v > static_cast<int64_t>(UINT32_MAX)) return nullptr;
+    comp[i] = static_cast<uint32_t>(v);
   }
-  *prev = Triple{TermId(abs_comp[0]), TermId(abs_comp[1]), TermId(abs_comp[2])};
+  *prev = Triple{TermId(comp[0]), TermId(comp[1]), TermId(comp[2])};
   return p;
 }
 
 Status VerifyAndParse(std::string_view page, PageView* view) {
-  if (page.size() < sizeof(uint32_t) + 2) {
+  if (page.size() < sizeof(uint32_t) + 1) {
     return Status::Corruption("page: truncated header");
   }
   std::string_view body = page.substr(sizeof(uint32_t));
@@ -70,37 +61,18 @@ Status VerifyAndParse(std::string_view page, PageView* view) {
   const char* p = body.data();
   const char* limit = p + body.size();
   uint32_t num_rows = 0;
-  uint32_t num_restarts = 0;
   p = GetVarint32(p, limit, &num_rows);
-  if (p != nullptr) p = GetVarint32(p, limit, &num_restarts);
   if (p == nullptr || num_rows == 0) {
     return Status::Corruption("page: bad row count");
-  }
-  if (num_restarts != (num_rows + kRestartInterval - 1) / kRestartInterval) {
-    return Status::Corruption("page: restart count mismatch");
-  }
-  std::vector<uint32_t> restarts;
-  restarts.reserve(num_restarts);
-  uint32_t off = 0;
-  for (uint32_t i = 0; i < num_restarts; ++i) {
-    uint32_t delta = 0;
-    p = GetVarint32(p, limit, &delta);
-    if (p == nullptr || (i == 0 && delta != 0) || (i > 0 && delta == 0)) {
-      return Status::Corruption("page: bad restart offset");
-    }
-    off += delta;
-    restarts.push_back(off);
   }
   std::string_view payload(p, static_cast<size_t>(limit - p));
   // Every encoded row is at least 3 bytes (three one-byte varints), so a
   // hostile row count cannot force an oversized decode allocation.
-  if (static_cast<uint64_t>(num_rows) * 3 > payload.size() ||
-      restarts.back() >= payload.size()) {
+  if (static_cast<uint64_t>(num_rows) * 3 > payload.size()) {
     return Status::Corruption("page: row count exceeds payload");
   }
   if (view != nullptr) {
     view->num_rows = num_rows;
-    view->restarts = std::move(restarts);
     view->payload = payload;
   }
   return Status::OK();
@@ -112,34 +84,15 @@ PageBuilder::PageBuilder(uint32_t page_bytes)
     : page_bytes_(std::max(page_bytes, kMinPageBytes)) {}
 
 bool PageBuilder::TryAdd(const Triple& t) {
-  const bool restart = num_rows_ % kRestartInterval == 0;
-  std::string enc;
-  if (restart) {
-    PutVarint32(&enc, t.s.value());
-    PutVarint32(&enc, t.p.value());
-    PutVarint32(&enc, t.o.value());
-  } else {
-    PutComponentDelta(&enc, t.s, prev_.s);
-    PutComponentDelta(&enc, t.p, prev_.p);
-    PutComponentDelta(&enc, t.o, prev_.o);
+  const size_t before = payload_.size();
+  PutComponentDelta(&payload_, t.s, prev_.s);
+  PutComponentDelta(&payload_, t.p, prev_.p);
+  PutComponentDelta(&payload_, t.o, prev_.o);
+  // Header: checksum (4) + the num_rows varint (<= 5).
+  if (num_rows_ > 0 && 4 + 5 + payload_.size() > page_bytes_) {
+    payload_.resize(before);
+    return false;
   }
-  uint32_t new_restart_bytes = restart_table_bytes_;
-  if (restart) {
-    std::string delta_enc;
-    uint32_t prev_off = restarts_.empty() ? 0 : restarts_.back();
-    PutVarint32(&delta_enc, static_cast<uint32_t>(payload_.size()) - prev_off);
-    new_restart_bytes += static_cast<uint32_t>(delta_enc.size());
-  }
-  // Header: checksum (4) + num_rows/num_restarts varints (<= 5 each) +
-  // the restart offset table.
-  const uint64_t projected =
-      4 + 5 + 5 + new_restart_bytes + payload_.size() + enc.size();
-  if (num_rows_ > 0 && projected > page_bytes_) return false;
-  if (restart) {
-    restarts_.push_back(static_cast<uint32_t>(payload_.size()));
-    restart_table_bytes_ = new_restart_bytes;
-  }
-  payload_ += enc;
   prev_ = t;
   ++num_rows_;
   return true;
@@ -148,12 +101,6 @@ bool PageBuilder::TryAdd(const Triple& t) {
 std::string PageBuilder::Finish() {
   std::string body;
   PutVarint32(&body, num_rows_);
-  PutVarint32(&body, static_cast<uint32_t>(restarts_.size()));
-  uint32_t prev_off = 0;
-  for (uint32_t off : restarts_) {
-    PutVarint32(&body, off - prev_off);
-    prev_off = off;
-  }
   body += payload_;
   std::string page;
   page.reserve(body.size() + sizeof(uint32_t));
@@ -162,8 +109,6 @@ std::string PageBuilder::Finish() {
   num_rows_ = 0;
   prev_ = Triple{};
   payload_.clear();
-  restarts_.clear();
-  restart_table_bytes_ = 0;
   return page;
 }
 
@@ -191,39 +136,16 @@ Status ParsePage(std::string_view page, PageView* view) {
 }
 
 Status DecodeRows(const PageView& view, std::vector<Triple>* out) {
-  const char* base = view.payload.data();
-  const char* limit = base + view.payload.size();
-  const char* p = base;
+  const char* p = view.payload.data();
+  const char* limit = p + view.payload.size();
   Triple prev{};
   out->reserve(out->size() + view.num_rows);
   for (uint32_t row = 0; row < view.num_rows; ++row) {
-    const bool restart = row % kRestartInterval == 0;
-    if (restart &&
-        static_cast<size_t>(p - base) != view.restarts[row / kRestartInterval]) {
-      return Status::Corruption("page: restart offset out of sync");
-    }
-    p = DecodeRow(p, limit, restart, &prev);
+    p = DecodeRow(p, limit, &prev);
     if (p == nullptr) return Status::Corruption("page: bad row encoding");
     out->push_back(prev);
   }
   if (p != limit) return Status::Corruption("page: trailing payload bytes");
-  return Status::OK();
-}
-
-Status DecodeRowAt(const PageView& view, uint32_t slot, Triple* out) {
-  if (slot >= view.num_rows) {
-    return Status::OutOfRange("page: slot out of range");
-  }
-  const uint32_t run = slot / kRestartInterval;
-  const char* base = view.payload.data();
-  const char* limit = base + view.payload.size();
-  const char* p = base + view.restarts[run];
-  Triple prev{};
-  for (uint32_t row = run * kRestartInterval; row <= slot; ++row) {
-    p = DecodeRow(p, limit, row % kRestartInterval == 0, &prev);
-    if (p == nullptr) return Status::Corruption("page: bad row encoding");
-  }
-  *out = prev;
   return Status::OK();
 }
 

@@ -7,9 +7,9 @@
 // owned blob or a borrowed mmapped db-file section); row access pins one
 // page at a time, so the decoded working set is bounded by the buffer
 // manager's frame pool and datasets larger than the pool still load and
-// query. Point lookups (the binary searches behind TripleSource::EqualRange)
-// decode single rows straight from the compressed bytes via restart
-// points, bypassing the pool entirely.
+// query. Scans and seeks read rows the same way: the binary searches behind
+// TripleSource::EqualRange pin each page they probe, so a page is verified
+// and decoded once per frame load, never per probe.
 //
 // Serialized layout (the "spo_pages"/"pso_pages" db-file sections):
 //
@@ -94,9 +94,10 @@ class PagedTripleTable {
   /// requires an attached buffer.
   void AttachBuffer(std::shared_ptr<BufferManager> buffer);
 
-  /// Decodes the single row at index `row` straight from the compressed
-  /// bytes (restart-point seek; no buffer, no frame allocation).
-  Status RowAt(uint64_t row, Triple* out) const;
+  /// The page containing `row` (row < num_rows()).
+  uint32_t PageOf(uint64_t row) const;
+  /// Index of the first row on `page` (page < num_pages()).
+  uint64_t PageStart(uint32_t page) const { return first_row_[page]; }
 
   /// Pins the page holding `row` (inside `range`) into `pin` and returns
   /// the rows of `range` on that page from `row` on. Throws PagedIoError on
@@ -110,24 +111,13 @@ class PagedTripleTable {
   Status ForEachPage(
       const std::function<void(std::span<const Triple>, uint64_t)>& fn) const;
 
-  /// The first row of `within` that fails `pred`, where `pred` holds on a
-  /// prefix of the rows of `within` (a binary search): over pages by their
-  /// first row, then inside one page parsed once. Every page read is
-  /// checksum-verified. Throws PagedIoError on a decode failure.
-  uint64_t PartitionPoint(
-      const RowRange& within,
-      const std::function<bool(const Triple&)>& pred) const;
-
  private:
-  /// Verifies and parses one page image, cross-checked against the
-  /// directory's row count. Failpoint site "page.decode" fires inside.
-  Status ParseCheckedPage(uint32_t page, pagecodec::PageView* view) const;
-  /// The page containing `row` (row < num_rows()).
-  uint32_t PageOf(uint64_t row) const;
   /// Serialized bytes of one page image.
   std::string_view PageImage(uint32_t page) const;
-  /// Buffer-manager loader: ParseCheckedPage, then strictly decode every
-  /// row.
+  /// The one page decoder, behind both the buffer manager and ForEachPage:
+  /// verifies the page image, cross-checks its row count against the
+  /// directory, then strictly decodes every row. Failpoint site
+  /// "page.decode" fires inside.
   Status LoadPage(uint32_t page, std::vector<Triple>* rows) const;
 
   std::string owned_;       // backing bytes when not borrowed

@@ -11,7 +11,8 @@
 //   * paged — a compressed PagedTripleTable whose pages are decoded on
 //     demand through a buffer manager, so decoded residency stays bounded.
 //     Its blob may be borrowed zero-copy from a memory-mapped db file
-//     (Sec. III.A).
+//     (Sec. III.A). Scans and seeks both read pinned pages; only
+//     ForEachChunk streams pages past the pool.
 //
 // Callers scan, search, size, stream and persist the table through one
 // interface. On disk a table is one db-file section, named after the table
@@ -26,6 +27,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/buffer_manager.h"
@@ -72,6 +74,14 @@ class TripleSource {
   static Result<TripleSource> Open(const DbFileReader& file,
                                    const std::string& name,
                                    const TableStorage& storage, bool borrow);
+
+  /// A paged table over `blob`, a serialized PagedTripleTable (the
+  /// `_pages` image), read through `buffer`. With `borrow` the table serves
+  /// the caller's bytes, which must outlive it; otherwise it owns a copy.
+  /// Corruption on a malformed directory.
+  static Result<TripleSource> FromPages(std::string_view blob,
+                                        std::shared_ptr<BufferManager> buffer,
+                                        bool borrow);
 
   /// Writes the table's one image as section `name` + "_rows" (resident)
   /// or `name` + "_pages" (paged).
@@ -127,9 +137,10 @@ class TripleSource {
   /// ones must form a prefix of the key (none bound: all of `within`).
   /// A property run of a CS
   /// partition has one predicate and is sorted by (S, O), so
-  /// EqualRange(run, Permutation::kSpo, s) finds subject s in it. Paged
-  /// searches decode single rows without the buffer manager. Throws
-  /// PagedIoError on a decode failure.
+  /// EqualRange(run, Permutation::kSpo, s) finds subject s in it. A paged
+  /// search pins each page it probes, as a Reader does, so its frame loads
+  /// count in BufferStats::pages_read. Throws PagedIoError on a page load
+  /// failure.
   RowRange EqualRange(const RowRange& within, Permutation perm, TermId major,
                       TermId mid = kInvalidId,
                       TermId minor = kInvalidId) const;
@@ -139,6 +150,12 @@ class TripleSource {
   Status ForEachChunk(const ChunkFn& fn) const;
 
  private:
+  /// The first row of `within` that fails `pred`, which holds on a prefix
+  /// of it: std::partition_point over the rows of `within` when resident;
+  /// paged, over the one page it lies on, found by bisecting the pages.
+  template <typename Pred>
+  uint64_t Bisect(const RowRange& within, Pred pred) const;
+
   std::vector<Triple> rows_;  // resident rows
   // Behind a pointer because the buffer manager's registered page loader
   // captures the table's address; moving the source must not move it.

@@ -189,21 +189,6 @@ TEST_F(EcsFig1Test, PreOrderPlacesFamiliesAdjacent) {
   }
 }
 
-TEST_F(EcsFig1Test, HierarchySerializeRoundTrip) {
-  EcsHierarchy h = EcsHierarchy::Build(ecs_.sets, cs_.sets);
-  std::string buf;
-  h.SerializeTo(&buf);
-  size_t pos = 0;
-  auto back = EcsHierarchy::Deserialize(buf, &pos);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back.value().PreOrder(), h.PreOrder());
-  EXPECT_EQ(back.value().Roots(), h.Roots());
-  for (uint32_t i = 0; i < h.num_nodes(); ++i) {
-    EXPECT_EQ(back.value().Children(EcsId(i)), h.Children(EcsId(i)));
-    EXPECT_EQ(back.value().PropertyCount(EcsId(i)), h.PropertyCount(EcsId(i)));
-  }
-}
-
 // ------------------------------------------------------------ Statistics
 
 TEST_F(EcsFig1Test, StatisticsMatchFigure3) {

@@ -286,9 +286,10 @@ TEST(PagedExecTest, SaveOpenOpenMappedRoundTrip) {
   std::remove(path.c_str());
 }
 
-// Paged subject seeks (pages searched by their first row, then one parsed
-// page) find exactly the resident binary search's rows, for every subject
-// of every property run of LUBM-1 and for subjects just outside a run.
+// Paged subject seeks (pinned pages bisected by their first row, then a
+// partition point on the last one) find exactly the resident binary
+// search's rows, for every subject of every property run of LUBM-1 and for
+// subjects just outside a run.
 TEST(PagedExecTest, SubjectSeeksMatchResidentOnEveryRun) {
   LubmConfig cfg;
   cfg.num_universities = 1;

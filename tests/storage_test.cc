@@ -12,6 +12,7 @@
 #include "storage/db_file.h"
 #include "storage/partition_directory.h"
 #include "storage/triple_source.h"
+#include "util/failpoint.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
 #include "util/varint.h"
@@ -253,7 +254,8 @@ TEST(TripleTableTest, SortAndDedup) {
 // EqualRange in both storage modes against a linear scan, over the whole
 // table and over sub-ranges, with zero to three bound components.
 // Ids are drawn from 1..19 plus UINT32_MAX - 1, the extremes of the id
-// space; probes also use 20, an id no row holds.
+// space; probes also use 20, an id no row holds. The paged table's frame
+// pool holds about two of its pages, so seeks run while pages evict.
 class TripleTablePermutationTest
     : public ::testing::TestWithParam<Permutation> {};
 
@@ -268,7 +270,11 @@ TEST_P(TripleTablePermutationTest, EqualRangeMatchesLinearScan) {
   for (int i = 0; i < 3000; ++i) rows.push_back(Triple{id(20), id(8), id(20)});
   const TripleSource resident = TripleSource::Sorted(rows, perm);
   const std::vector<Triple> sorted = RowsOf(resident, resident.all());
-  const TripleSource paged = MakeTable(sorted, /*paged=*/true);
+  BufferOptions small_pool;
+  small_pool.pool_bytes = 1024;
+  const auto buffer = std::make_shared<BufferManager>(small_pool);
+  const TripleSource paged =
+      TripleSource::Make(sorted, TableStorage{buffer, 256});
   ASSERT_EQ(paged.num_rows(), sorted.size());
 
   for (int trial = 0; trial < 200; ++trial) {
@@ -301,6 +307,7 @@ TEST_P(TripleTablePermutationTest, EqualRangeMatchesLinearScan) {
           << (t == &paged ? "paged" : "resident") << " trial " << trial;
     }
   }
+  EXPECT_GT(buffer->stats().pages_evicted, 0u) << "the pool never evicted";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPermutations, TripleTablePermutationTest,
@@ -338,6 +345,27 @@ TEST(TripleTableTest, EqualRangeOnEmptyAndOneRowTables) {
                 key[1] < TermId(2) ? (RowRange{1, 1}) : (RowRange{0, 0}));
     }
   }
+}
+
+// A page that fails to load during a paged seek surfaces as PagedIoError.
+// The failed frame is a tombstone, not a cached error, so the next seek
+// loads the page again and answers.
+TEST(TripleTableTest, PagedEqualRangeFaultThenHeals) {
+  if (!failpoint::CompiledIn()) GTEST_SKIP() << "failpoints not compiled in";
+  std::vector<Triple> rows;
+  for (uint32_t i = 0; i < 2000; ++i) rows.push_back(T(1 + i / 4, 1, 1 + i));
+  const TripleSource table = MakeTable(rows, /*paged=*/true);
+  const TermId subject(100);
+  const RowRange want{396, 400};
+  ASSERT_TRUE(failpoint::Arm("page.decode", "err*1").ok());
+  try {
+    (void)table.EqualRange(table.all(), Permutation::kSpo, subject);
+    ADD_FAILURE() << "the injected page fault did not surface";
+  } catch (const PagedIoError& e) {
+    EXPECT_TRUE(failpoint::IsInjected(e.status())) << e.status().ToString();
+  }
+  failpoint::DisarmAll();
+  EXPECT_EQ(table.EqualRange(table.all(), Permutation::kSpo, subject), want);
 }
 
 TEST(TripleTableTest, SerializeRoundTrip) {
