@@ -1,18 +1,21 @@
 // Micro-benchmarks (google-benchmark) for the substrate layers: bitmap
 // subset tests, N-Triples loading, dictionary interning/lookup/copying,
-// triple table range probes (resident and paged) and the relational
-// operators. Not a paper artifact — these quantify the primitives every
-// macro number is built from.
+// page loads, triple table range probes (resident and paged) and the
+// relational operators. Not a paper artifact — these quantify the
+// primitives every macro number is built from.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "datagen/lubm_generator.h"
 #include "exec/operators.h"
 #include "rdf/dictionary.h"
 #include "rdf/ntriples.h"
+#include "storage/page_codec.h"
 #include "storage/triple_source.h"
 #include "util/bitmap.h"
 #include "util/random.h"
@@ -125,9 +128,49 @@ void BM_DictionaryLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_DictionaryLookup);
 
+// One frame load of the paged storage mode: verify and decode a 4 KiB page
+// of the LUBM data into a fresh row vector, as the buffer manager's loader
+// does. Arg 0 takes a page from the middle of the SPO-sorted rows, arg 1
+// one from the middle of the PSO-sorted rows.
+void BM_PageLoad(benchmark::State& state) {
+  const Permutation perm =
+      state.range(0) == 0 ? Permutation::kSpo : Permutation::kPso;
+  std::vector<Triple> sorted = LubmData().triples;
+  std::sort(sorted.begin(), sorted.end(),
+            [perm](const Triple& a, const Triple& b) {
+              return PermutationKey(perm, a) < PermutationKey(perm, b);
+            });
+  std::vector<std::string> pages;
+  pagecodec::PageBuilder builder;
+  for (const Triple& t : sorted) {
+    if (!builder.TryAdd(t)) {
+      pages.push_back(builder.Finish());
+      builder.TryAdd(t);
+    }
+  }
+  const std::string& page = pages[pages.size() / 2];
+  size_t rows_per_page = 0;
+  for (auto _ : state) {
+    pagecodec::PageView view;
+    std::vector<Triple> rows;
+    if (!pagecodec::ParsePage(page, &view).ok() ||
+        !pagecodec::DecodeRows(view, &rows).ok()) {
+      state.SkipWithError("page load failed");
+    }
+    rows_per_page = rows.size();
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["page_bytes"] = static_cast<double>(page.size());
+  state.counters["rows"] = static_cast<double>(rows_per_page);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(page.size()));
+}
+BENCHMARK(BM_PageLoad)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
 // A PSO prefix probe on a bound predicate over 200k rows; arg 0 keeps the
 // table resident, arg 1 pages it (4 KiB pages behind a buffer manager;
-// the search decodes single rows without pinning).
+// the search pins the pages it probes).
 void BM_TripleSourceEqualRange(benchmark::State& state) {
   Random rng(5);
   std::vector<Triple> rows;

@@ -16,9 +16,10 @@ namespace {
 
 /// Version of the db-file layout, stored as section "format". Version 2
 /// sorts each CS partition by (P, S, O); version 3 drops the pages' restart
-/// points and the persisted ECS hierarchy. A file without the section is
-/// version 1 (subject-major partitions). This build reads version 3 only.
-constexpr uint64_t kFormatVersion = 3;
+/// points and the persisted ECS hierarchy; version 4 checksums pages with
+/// XXH64 instead of FNV-1a. A file without the section is version 1
+/// (subject-major partitions). This build reads version 4 only.
+constexpr uint64_t kFormatVersion = 4;
 
 Status CheckFormat(const DbFileReader& reader) {
   const Result<std::string_view> section = reader.GetSection("format");

@@ -20,6 +20,7 @@
 #include "engine/database.h"
 #include "load_differential.h"
 #include "rdf/ntriples.h"
+#include "reference_page.h"
 #include "reference_results.h"
 #include "server/http.h"
 #include "sparql/lexer.h"
@@ -133,17 +134,24 @@ TEST(FuzzRegressionTest, PageCorpusReplays) {
     const std::string bytes = ReadFile(f);
 
     // Same contract fuzz_page enforces. Path 1: one page image through
-    // the strict decoder; an accepted page decodes to its row count.
-    pagecodec::PageView view;
-    if (pagecodec::ParsePage(bytes, &view).ok()) {
+    // the strict decoder; an accepted page decodes to its row count, as
+    // the reference decoder does. Path 2: the same bytes sealed as a page
+    // body, so the row decoder sees them past the checksum.
+    std::string sealed(sizeof(uint32_t), '\0');
+    sealed += bytes;
+    pagecodec::SealPage(&sealed);
+    for (const bool seal : {false, true}) {
+      pagecodec::PageView view;
+      if (!pagecodec::ParsePage(seal ? sealed : bytes, &view).ok()) continue;
+      EXPECT_EQ(testref::DiffDecode(view), "") << (seal ? "sealed" : "image");
       std::vector<Triple> rows;
       if (pagecodec::DecodeRows(view, &rows).ok()) {
         EXPECT_EQ(rows.size(), view.num_rows);
-        ++pages_accepted;
+        if (!seal) ++pages_accepted;
       }
     }
 
-    // Path 2: a paged-table blob through the directory parser; for an
+    // Path 3: a paged-table blob through the directory parser; for an
     // accepted table the pool path (a Reader over all()) and the streaming
     // path (ForEachChunk) read the same rows, or fail alike on a bad page.
     auto source = TripleSource::FromPages(

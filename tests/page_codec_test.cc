@@ -1,9 +1,11 @@
 // Page codec property suite (DESIGN.md §14): seeded round-trip and seek
-// properties over adversarial row distributions, plus strict-decode
-// rejection of truncations, bitflips and hostile headers. Seeks read rows
-// the way every query does, through pages pinned in a buffer manager. The
-// fuzz_page harness drives the same contract with unstructured bytes;
-// regressions it finds replay in fuzz_regression_test.
+// properties over adversarial row distributions, a differential against
+// the row-at-a-time reference decoder (reference_page.h), plus
+// strict-decode rejection of truncations, bitflips, bit-pair flips,
+// out-of-range deltas and hostile headers. Seeks read rows the way every
+// query does, through pages pinned in a buffer manager. The fuzz_page
+// harness drives the same contract with unstructured bytes; regressions it
+// finds replay in fuzz_regression_test.
 
 #include "storage/page_codec.h"
 
@@ -11,11 +13,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <random>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "reference_page.h"
 #include "storage/buffer_manager.h"
 #include "storage/paged_table.h"
 #include "storage/triple_source.h"
@@ -29,6 +35,7 @@ using pagecodec::DecodeRows;
 using pagecodec::PageBuilder;
 using pagecodec::PageView;
 using pagecodec::ParsePage;
+using pagecodec::SealPage;
 
 // --- adversarial row distributions -----------------------------------------
 //
@@ -90,9 +97,68 @@ std::vector<Triple> GenConstant(std::mt19937_64*, size_t n) {
   return std::vector<Triple>(n, Triple{TermId(7), TermId(7), TermId(7)});
 }
 
+std::vector<Triple> GenMixedDeltas(std::mt19937_64* rng, size_t n) {
+  // Each component steps by a one-byte delta (|d| <= 63) or a multi-byte
+  // one, forward or back, so rows mix both varint widths.
+  std::vector<Triple> rows;
+  uint32_t comp[3] = {1u << 20, 1u << 20, 1u << 20};
+  std::uniform_int_distribution<int> small(-63, 63);
+  std::uniform_int_distribution<int> big(-100000, 100000);
+  std::uniform_int_distribution<int> coin(0, 2);
+  for (size_t i = 0; i < n; ++i) {
+    for (uint32_t& c : comp) {
+      c = static_cast<uint32_t>(static_cast<int64_t>(c) +
+                                (coin(*rng) == 0 ? big(*rng) : small(*rng)));
+    }
+    rows.push_back(Triple{TermId(comp[0]), TermId(comp[1]), TermId(comp[2])});
+  }
+  return rows;
+}
+
+std::vector<Triple> GenNearBounds(std::mt19937_64* rng, size_t n) {
+  // Ids 1 and UINT32_MAX - 1 and their neighbours: one-byte deltas that
+  // end one step short of leaving the 32-bit range, and 2^32 - 2 jumps.
+  std::vector<Triple> rows;
+  const uint32_t ids[] = {0, 1, 2, 0xFFFFFFFDu, 0xFFFFFFFEu, 0xFFFFFFFFu};
+  std::uniform_int_distribution<int> pick(0, 5);
+  for (size_t i = 0; i < n; ++i) {
+    rows.push_back(Triple{TermId(ids[pick(*rng)]), TermId(ids[pick(*rng)]),
+                          TermId(ids[pick(*rng)])});
+  }
+  return rows;
+}
+
 using Generator = std::vector<Triple> (*)(std::mt19937_64*, size_t);
-const Generator kGenerators[] = {GenSortedRuns, GenBackwardPartitionSteps,
-                                 GenDenseIds, GenSparseExtremes, GenConstant};
+const Generator kGenerators[] = {GenSortedRuns,     GenBackwardPartitionSteps,
+                                 GenDenseIds,       GenSparseExtremes,
+                                 GenConstant,       GenMixedDeltas,
+                                 GenNearBounds};
+
+// A page image for `body` (varint num_rows, then the payload), sealed by
+// the codec's own routine.
+std::string Seal(std::string_view body) {
+  std::string page(sizeof(uint32_t), '\0');
+  page += body;
+  SealPage(&page);
+  return page;
+}
+
+// A page body: the row count, then each zigzag code as a varint.
+std::string Body(uint32_t num_rows, std::initializer_list<uint64_t> codes) {
+  std::string body;
+  PutVarint32(&body, num_rows);
+  for (uint64_t code : codes) PutVarint64(&body, code);
+  return body;
+}
+
+// "" when `page` is rejected by ParsePage or decodes alike with DecodeRows
+// and the reference decoder; else the difference. Counts parsed pages.
+std::string DiffPage(std::string_view page, size_t* parsed) {
+  PageView view;
+  if (!ParsePage(page, &view).ok()) return "";
+  ++*parsed;
+  return testref::DiffDecode(view);
+}
 
 // Packs `rows` into pages with PageBuilder, returning the page images.
 std::vector<std::string> Pack(const std::vector<Triple>& rows,
@@ -212,6 +278,167 @@ TEST(PageCodecStrict, EverySingleBitflipIsRejected) {
   }
   PageView view;
   EXPECT_TRUE(ParsePage(page, &view).ok()) << "restored page must parse";
+}
+
+// The checksum is XXH64 (seed 0) of the body, xor-folded to 32 bits: the
+// published XXH64 values of "" (0xef46db3751d8e999) and "abc"
+// (0x44bc2cf5ad770999) fold to the first two; the 100-byte body runs the
+// four-lane stripes.
+TEST(PageCodecStrict, ChecksumIsFoldedXxh64) {
+  std::string hundred;
+  for (int i = 0; i < 100; ++i) hundred.push_back(static_cast<char>(i));
+  const std::pair<std::string, uint32_t> known[] = {
+      {"", 0xbe9e32aeu}, {"abc", 0xe9cb256cu}, {hundred, 0x58d78017u}};
+  for (const auto& [body, checksum] : known) {
+    const std::string page = Seal(body);
+    EXPECT_EQ(DecodeFixed32(page.data()), checksum) << body.size();
+  }
+}
+
+// Every pair of bit flips within one 8-byte word of the page image, and
+// every pair across two adjacent words, is rejected. A word-wise checksum
+// whose steps move a high bit only upward would let two flips of one bit
+// position in different words cancel.
+TEST(PageCodecStrict, EveryBitPairFlipIsRejected) {
+  std::mt19937_64 rng(4243);
+  std::vector<Triple> rows = GenDenseIds(&rng, 200);
+  std::vector<uint32_t> per_page;
+  std::vector<std::string> pages = Pack(rows, 128, &per_page);
+  std::string page = pages[0];
+  const size_t bits = page.size() * 8;
+  auto flip = [&page](size_t bit) {
+    page[bit / 8] = static_cast<char>(page[bit / 8] ^ (1u << (bit % 8)));
+  };
+  size_t tried = 0;
+  for (size_t word = 0; word * 64 < bits; ++word) {
+    const size_t lo = word * 64;
+    const size_t hi = std::min(bits, lo + 128);  // this word and the next
+    for (size_t a = lo; a < std::min(bits, lo + 64); ++a) {
+      for (size_t b = a + 1; b < hi; ++b) {
+        flip(a);
+        flip(b);
+        PageView view;
+        EXPECT_FALSE(ParsePage(page, &view).ok()) << "bits " << a << ", " << b;
+        flip(a);
+        flip(b);
+        ++tried;
+      }
+    }
+  }
+  EXPECT_GT(tried, 50000u);
+  PageView view;
+  EXPECT_TRUE(ParsePage(page, &view).ok()) << "restored page must parse";
+}
+
+// A delta outside +-(2^32 - 1) cannot separate two 32-bit components; it
+// is rejected before it is added, so a sealed page cannot make the
+// decoder's 64-bit sum overflow.
+TEST(PageCodecStrict, DeltaBeyond32BitsIsRejected) {
+  // Row 0 is (1, 1, 1); row 1's subject delta is INT64_MAX (zigzag
+  // 2^64 - 2, a 10-byte varint), which added to 1 overflows int64.
+  const std::string page =
+      Seal(Body(2, {2, 2, 2, 0xFFFFFFFFFFFFFFFEull, 0, 0}));
+  PageView view;
+  ASSERT_TRUE(ParsePage(page, &view).ok());
+  std::vector<Triple> out;
+  const Status st = DecodeRows(view, &out);
+  EXPECT_EQ(st.ToString(), "Corruption: page: bad row encoding");
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(testref::DiffDecode(view), "");
+
+  // The bound itself: 0 -> UINT32_MAX -> 0 decodes; one more is refused.
+  const uint64_t kMax = 2 * uint64_t{UINT32_MAX};  // zigzag of 2^32 - 1
+  const std::string bound = Seal(Body(2, {kMax, 0, 0, kMax - 1, 0, 0}));
+  ASSERT_TRUE(ParsePage(bound, &view).ok());
+  ASSERT_TRUE(DecodeRows(view, &out).ok());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].s.value(), UINT32_MAX);
+  EXPECT_EQ(out[1].s.value(), 0u);
+  for (const uint64_t code : {kMax + 1, kMax + 2}) {
+    const std::string beyond = Seal(Body(1, {code, 0, 0}));
+    ASSERT_TRUE(ParsePage(beyond, &view).ok());
+    EXPECT_FALSE(DecodeRows(view, &out).ok()) << code;
+    EXPECT_EQ(testref::DiffDecode(view), "") << code;
+  }
+}
+
+// DecodeRows returns the rows and the Status text of the row-at-a-time
+// reference decoder: on every page of every distribution, on crafted
+// payloads at the edges of the one-byte fast path, and on resealed random
+// mutations of real page bodies.
+TEST(PageCodecProperty, DecodeMatchesReferenceDecoder) {
+  std::mt19937_64 rng(20261020);
+  size_t parsed = 0;
+  std::vector<std::string> bodies;
+  for (Generator gen : kGenerators) {
+    for (uint32_t page_bytes : {pagecodec::kMinPageBytes, 512u,
+                                pagecodec::kDefaultPageBytes}) {
+      std::vector<uint32_t> per_page;
+      for (const std::string& page :
+           Pack(gen(&rng, 1000), page_bytes, &per_page)) {
+        EXPECT_EQ(DiffPage(page, &parsed), "");
+        bodies.push_back(page.substr(sizeof(uint32_t)));
+      }
+    }
+  }
+
+  // A last row that ends 1-3 bytes before the payload end: as trailing
+  // bytes, and as a partial row the count claims (one-byte and unfinished
+  // multi-byte varints alike).
+  const std::string rows2 = Body(2, {2, 4, 6, 1, 0, 3});
+  for (size_t k = 1; k <= 3; ++k) {
+    for (const char fill : {'\x00', '\x05', '\x80'}) {
+      std::string body = rows2 + std::string(k, fill);
+      EXPECT_EQ(DiffPage(Seal(body), &parsed), "") << k << ", " << +fill;
+      body[0] = 3;  // num_rows: the extra bytes are a third row
+      EXPECT_EQ(DiffPage(Seal(body), &parsed), "") << k << ", " << +fill;
+    }
+  }
+
+  // Deltas that leave the 32-bit range by one, in the fast path and the
+  // varint path: below zero from 0 and from 1, above UINT32_MAX from
+  // UINT32_MAX - 1, and negative partition steps that stay in range.
+  const uint64_t kTopMinus1 = 2 * uint64_t{0xFFFFFFFEu};  // +UINT32_MAX - 1
+  const std::initializer_list<uint64_t> crafted[] = {
+      {1, 0, 0},                             // 0 - 1
+      {0, 0, 0, 0, 3, 0},                    // 0 then 0 - 2 on p
+      {2, 2, 2, 3, 1, 1},                    // 1 - 2, 1 - 1, 1 - 1
+      {2, 2, 2, 1, 1, 1},                    // back to 0 on every column
+      {kTopMinus1, 0, 2, 4, 0, 0},           // UINT32_MAX - 1 + 2
+      {kTopMinus1, 0, 2, 2, 0, 0},           // UINT32_MAX - 1 + 1
+      {kTopMinus1, 0, 2, kTopMinus1 - 1, 0, 0},  // back down to 1
+      {200, 300, 2, 199, 299, 1},            // mixed widths, steps down
+      {200, 300, 2, 201, 1, 129},            // steps down past zero
+  };
+  for (const auto& codes : crafted) {
+    const uint32_t n = static_cast<uint32_t>(codes.size() / 3);
+    EXPECT_EQ(DiffPage(Seal(Body(n, codes)), &parsed), "");
+  }
+
+  // Random byte rewrites, truncations and extensions of real bodies,
+  // resealed so they reach the row decoder.
+  std::uniform_int_distribution<size_t> pick_body(0, bodies.size() - 1);
+  std::uniform_int_distribution<int> byte(0, 255);
+  std::uniform_int_distribution<int> edits(1, 4);
+  for (int i = 0; i < 20000; ++i) {
+    std::string body = bodies[pick_body(rng)];
+    const int n = edits(rng);
+    for (int e = 0; e < n; ++e) {
+      const size_t at = rng() % body.size();
+      switch (rng() % 4) {
+        case 0:
+          body.resize(at + 1);
+          break;
+        case 1:
+          body.push_back(static_cast<char>(byte(rng)));
+          break;
+        default:
+          body[at] = static_cast<char>(byte(rng));
+      }
+    }
+    EXPECT_EQ(DiffPage(Seal(body), &parsed), "") << "mutation " << i;
+  }
+  EXPECT_GT(parsed, 10000u) << "too few inputs reached the row decoder";
 }
 
 // --- paged-table directory strictness --------------------------------------

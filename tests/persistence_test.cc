@@ -597,13 +597,13 @@ TEST_F(PersistenceTest, SavedBytesMatchPinnedDigests) {
   };
   const Pinned pinned[] = {
       {"lubm", GenerateLubmDataset(lubm),
-       0x7ef4e50f0fd182d6ULL, 0x444cc522233db7c2ULL},
+       0x5e3760ca4cff46e5ULL, 0x15909b76facfacc4ULL},
       {"sp2b", GenerateSp2bDataset(sp2b),
-       0x0be083d763a49689ULL, 0xdbb977776cb820d1ULL},
+       0x855d9496cb90a04cULL, 0x487082f97f242cc2ULL},
       {"geonames", GenerateGeonamesDataset(geonames),
-       0x4f33fe1d94ce20ebULL, 0xb228f9c80229626bULL},
+       0x4b19d471002d14fcULL, 0x38eb950da6e3f225ULL},
       {"reactome", GenerateReactomeDataset(reactome),
-       0xcb9a82d3afa6cb83ULL, 0x5a321a6f3588e7fbULL},
+       0x8dd278c38475b58aULL, 0xa881f50a90760624ULL},
   };
   for (const Pinned& p : pinned) {
     for (const bool paged : {false, true}) {
@@ -755,7 +755,8 @@ TEST_F(PersistenceTest, OpenRejectsMetadataOutsideItsRanges) {
 // A file without the `format` section is a format 1 file: its CS
 // partitions are sorted subject-major, which property-run reads would
 // misread. Every open refuses it, as it refuses a format 2 file (pages
-// with restart points) and an unknown version, and asks for a rebuild.
+// with restart points), a format 3 file (FNV-1a page checksums) and an
+// unknown version, and asks for a rebuild.
 TEST_F(PersistenceTest, RejectsSubjectMajorFormat) {
   auto built = Database::Build(testutil::Fig1Dataset());
   ASSERT_TRUE(built.ok());
@@ -776,16 +777,18 @@ TEST_F(PersistenceTest, RejectsSubjectMajorFormat) {
     }
     return out;
   };
-  std::string v1, v2, v4;
+  std::string v1, v2, v3, v5;
   PutVarint64(&v1, 1);
   PutVarint64(&v2, 2);
-  PutVarint64(&v4, 4);
+  PutVarint64(&v3, 3);
+  PutVarint64(&v5, 5);
   const std::string truncated;
   const std::vector<std::pair<Sections, StatusCode>> cases = {
       {with_format(nullptr), StatusCode::kUnsupported},
       {with_format(&v1), StatusCode::kUnsupported},
       {with_format(&v2), StatusCode::kUnsupported},
-      {with_format(&v4), StatusCode::kUnsupported},
+      {with_format(&v3), StatusCode::kUnsupported},
+      {with_format(&v5), StatusCode::kUnsupported},
       {with_format(&truncated), StatusCode::kCorruption},
   };
   for (size_t i = 0; i < cases.size(); ++i) {
