@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -27,17 +28,8 @@ namespace {
 LoadTripleVec LubmLoadTriples(uint32_t universities) {
   LubmConfig cfg;
   cfg.num_universities = universities;
-  Dataset d = GenerateLubmDataset(cfg);
-  std::sort(d.triples.begin(), d.triples.end(),
-            [](const Triple& a, const Triple& b) { return a.Key() < b.Key(); });
-  d.triples.erase(std::unique(d.triples.begin(), d.triples.end()),
-                  d.triples.end());
-  LoadTripleVec out;
-  out.reserve(d.triples.size());
-  for (const Triple& t : d.triples) {
-    out.push_back(LoadTriple{t.s, t.p, t.o, kNoCs});
-  }
-  return out;
+  const Dataset d = GenerateLubmDataset(cfg);
+  return SortUniqueSpo<LoadTriple>(d.triples, d.dict.size()).ValueOrDie();
 }
 
 // Arg: LUBM universities (39 universities ≈ 200k rows, the lubm_update
@@ -106,6 +98,24 @@ void BM_FullDatabaseBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * d.triples.size());
 }
 BENCHMARK(BM_FullDatabaseBuild)->Arg(1)->Arg(4);
+
+// Database::Build from a shuffled copy of the generator's rows, so the
+// (S, P, O) sort runs on unordered input. Args: LUBM universities,
+// parallelism.
+void BM_ShuffledDatabaseBuild(benchmark::State& state) {
+  LubmConfig cfg;
+  cfg.num_universities = static_cast<uint32_t>(state.range(0));
+  Dataset d = GenerateLubmDataset(cfg);
+  std::shuffle(d.triples.begin(), d.triples.end(), std::mt19937_64(7));
+  EngineOptions options;
+  options.parallelism = static_cast<uint32_t>(state.range(1));
+  for (auto _ : state) {
+    auto db = Database::Build(d, options);
+    benchmark::DoNotOptimize(db.ok());
+  }
+  state.SetItemsProcessed(state.iterations() * d.triples.size());
+}
+BENCHMARK(BM_ShuffledDatabaseBuild)->Args({4, 1})->Args({4, 4});
 
 // One UpdatableDatabase compaction after a 2,000-op delta: 1,000 deletes
 // of base triples and 1,000 inserts of new triples. Arg: LUBM universities

@@ -12,8 +12,7 @@ VpEngine VpEngine::Build(const Dataset& dataset) {
   for (auto& [pred, chunk_rows] : rows) {
     Chunk& chunk = e.chunks_[pred];
     chunk.by_subject = TripleSource::Sorted(chunk_rows, Permutation::kSpo);
-    chunk.by_object =
-        TripleSource::Sorted(std::move(chunk_rows), Permutation::kOps);
+    chunk.by_object = TripleSource::Sorted(chunk_rows, Permutation::kOps);
     e.total_triples_ += chunk.by_subject.num_rows();
   }
   return e;

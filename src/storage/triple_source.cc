@@ -28,14 +28,9 @@ std::vector<Triple> CopyRawImage(std::string_view image, size_t n) {
 
 }  // namespace
 
-TripleSource TripleSource::Sorted(std::vector<Triple> rows,
+TripleSource TripleSource::Sorted(std::span<const Triple> rows,
                                   Permutation perm) {
-  std::sort(rows.begin(), rows.end(),
-            [perm](const Triple& a, const Triple& b) {
-              return PermutationKey(perm, a) < PermutationKey(perm, b);
-            });
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  return TripleSource(std::move(rows));
+  return TripleSource(BucketSortUnique<Triple>(rows, perm));
 }
 
 TripleSource TripleSource::Make(std::vector<Triple> rows,

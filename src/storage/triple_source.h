@@ -55,8 +55,9 @@ class TripleSource {
   explicit TripleSource(std::vector<Triple> rows) : rows_(std::move(rows)) {}
 
   /// A resident table of `rows` sorted by `perm`, exact duplicates dropped
-  /// (the baseline engines' permutation tables).
-  static TripleSource Sorted(std::vector<Triple> rows, Permutation perm);
+  /// (the baseline engines' permutation tables): a counting scatter by the
+  /// major id, then a sort of each major id's rows.
+  static TripleSource Sorted(std::span<const Triple> rows, Permutation perm);
 
   /// Stores `rows` (already in table order) as `storage` asks: kept as they
   /// are when resident, packed into pages and dropped when paged.

@@ -530,9 +530,10 @@ TEST_F(PersistenceTest, PagedSaveIsByteStable) {
 
 // Build skips its (S, P, O) sort when the rows arrive sorted — the update
 // store's live set does — and CS extraction never sorts. Rows that are
-// sorted (serial build) and rows shuffled with duplicates added (4 workers,
-// so the ECS scatter runs in several chunks) must give the identical file,
-// in both storage modes.
+// sorted (serial build), rows shuffled with duplicates added (4 workers,
+// so the ECS scatter runs in several chunks), rows in reverse order, and
+// rows repeated up to five times each must give the identical file, in
+// both storage modes.
 TEST_F(PersistenceTest, SortedAndShuffledRowsSaveIdenticalBytes) {
   auto key_less = [](const Triple& a, const Triple& b) {
     return a.Key() < b.Key();
@@ -548,14 +549,21 @@ TEST_F(PersistenceTest, SortedAndShuffledRowsSaveIdenticalBytes) {
     for (size_t i = 0; i < sorted.size(); i += 7) shuffled.push_back(sorted[i]);
     std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(11));
     ASSERT_FALSE(std::is_sorted(shuffled.begin(), shuffled.end(), key_less));
+    const TripleVec reversed(sorted.rbegin(), sorted.rend());
+    // Every row one to five times over, so each subject's rows repeat.
+    TripleVec repeated;
+    for (size_t i = 0; i < sorted.size(); ++i) {
+      repeated.insert(repeated.end(), 1 + i % 5, sorted[i]);
+    }
+    std::shuffle(repeated.begin(), repeated.end(), std::mt19937_64(13));
     for (const bool paged : {false, true}) {
       SCOPED_TRACE(std::to_string(sorted.size()) + " rows, " +
                    (paged ? "paged" : "resident"));
-      std::string bytes[2];
-      const TripleVec* inputs[2] = {&sorted, &shuffled};
-      for (int i = 0; i < 2; ++i) {
+      std::string bytes[4];
+      const TripleVec* inputs[4] = {&sorted, &shuffled, &reversed, &repeated};
+      for (int i = 0; i < 4; ++i) {
         EngineOptions options = ModeOptions(paged);
-        if (i == 1) options.parallelism = 4;
+        if (i % 2 == 1) options.parallelism = 4;
         auto built = Database::Build(dict, *inputs[i], options);
         ASSERT_TRUE(built.ok()) << built.status().ToString();
         EXPECT_EQ(built.value().build_info().num_triples, sorted.size());
@@ -563,6 +571,8 @@ TEST_F(PersistenceTest, SortedAndShuffledRowsSaveIdenticalBytes) {
         ASSERT_TRUE(ReadFileToString(path_, &bytes[i]).ok());
       }
       EXPECT_EQ(bytes[0], bytes[1]);
+      EXPECT_EQ(bytes[0], bytes[2]) << "reversed input";
+      EXPECT_EQ(bytes[0], bytes[3]) << "repeated rows";
     }
   }
 }
